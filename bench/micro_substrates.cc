@@ -1,6 +1,10 @@
 // Substrate microbenchmarks (google-benchmark): LP solves, polyhedron cuts
 // with vertex enumeration, enclosing balls, hit-and-run, skyline, DQN
 // forward/backward — the per-round cost drivers of EA and AA.
+#include <deque>
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "baselines/single_pass.h"
@@ -24,6 +28,7 @@
 #include "lp/simplex.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
+#include "nn/registry.h"
 #include "rl/dqn.h"
 #include "user/sampler.h"
 
@@ -449,6 +454,75 @@ BENCHMARK(BM_SessionThroughputAa)
     ->Args({1024, 0})
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
+
+// ---- User-paced serving (DESIGN.md §13). ----
+// N pinned EA sessions (the BM_SessionThroughputEa configuration) wait on
+// their users, who answer one question per Tick(), oldest question first —
+// a live population pacing itself instead of answering in lock-step. Each
+// iteration answers a fixed kTrickleAnswers questions; a session that
+// finishes is taken and replaced, so N stay in flight. Items are answers:
+// the per-answer cost must not grow with N, because a tick only touches the
+// session just answered.
+constexpr int64_t kTrickleAnswers = 64;
+
+void BM_SessionTrickle(benchmark::State& state) {
+  Rng rng(18);
+  Dataset raw = GenerateSynthetic(800, 3, Distribution::kAntiCorrelated, rng);
+  Dataset sky = SkylineOf(raw);
+  EaOptions opt;
+  opt.epsilon = 0.05;
+  opt.dqn = ServingDqn();
+  opt.actions.num_samples = 16;
+  Ea ea(sky, opt);
+  nn::ModelRegistry registry;
+  registry.Publish(ea.agent().main_network());
+  const std::shared_ptr<const nn::ModelSnapshot> model = registry.Latest();
+
+  SessionScheduler scheduler;
+  std::vector<std::unique_ptr<UserOracle>> users;  // by session id
+  uint64_t admitted = 0;
+  auto admit = [&] {
+    SessionConfig config;
+    config.budget.max_rounds = 10;
+    config.seed = SplitSeed(17, admitted++);
+    config.model = model;
+    scheduler.Add(ea.StartSession(config));
+    users.push_back(std::make_unique<LinearUser>(rng.SimplexUniform(3)));
+  };
+  for (int64_t i = 0; i < state.range(0); ++i) admit();
+  std::vector<PendingQuestion> first = scheduler.Tick();
+  std::deque<PendingQuestion> waiting(first.begin(), first.end());
+
+  for (auto _ : state) {
+    for (int64_t a = 0; a < kTrickleAnswers; ++a) {
+      const PendingQuestion pq = std::move(waiting.front());
+      waiting.pop_front();
+      scheduler.PostAnswer(pq.session_id,
+                           users[pq.session_id]->Ask(pq.question.first,
+                                                     pq.question.second));
+      std::vector<PendingQuestion> asked = scheduler.Tick();
+      if (asked.empty()) {  // that answer finished the session: replace it
+        InteractionResult result = scheduler.Take(pq.session_id);
+        benchmark::DoNotOptimize(result);
+        users[pq.session_id].reset();
+        admit();
+        asked = scheduler.Tick();
+      }
+      waiting.insert(waiting.end(), asked.begin(), asked.end());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kTrickleAnswers);
+}
+// Fixed iterations: one setup per size (admitting 16384 sessions takes
+// seconds) and the same 1024 answers at every size.
+BENCHMARK(BM_SessionTrickle)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Iterations(16)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Sharded serving throughput (DESIGN.md §15). ----
 // N complete episodes on a ShardedScheduler: S SessionScheduler shards

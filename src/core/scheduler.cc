@@ -1,5 +1,6 @@
 #include "core/scheduler.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,10 +64,14 @@ SessionScheduler::SessionId SessionScheduler::Add(
   // budget); it then never becomes runnable.
   slot.state = slot.session->Finished() ? SlotState::kFinished
                                         : SlotState::kRunnable;
-  if (slot.state == SlotState::kRunnable) ++active_;
   slots_.push_back(std::move(slot));
   const SessionId id = slots_.size() - 1;
-  if (slots_[id].state == SlotState::kFinished) EmitHarvest(id);
+  if (slots_[id].state == SlotState::kFinished) {
+    EmitHarvest(id);
+  } else {
+    ++active_;
+    MarkReady(id);
+  }
   return id;
 }
 
@@ -180,8 +185,11 @@ Result<SessionScheduler> SessionScheduler::RestoreAll(
         break;
     }
     if (r.failed()) break;
-    if (slot.state == SlotState::kRunnable) ++scheduler.active_;
     scheduler.slots_.push_back(std::move(slot));
+    if (scheduler.slots_.back().state == SlotState::kRunnable) {
+      ++scheduler.active_;
+      scheduler.MarkReady(scheduler.slots_.size() - 1);
+    }
   }
   ISRL_RETURN_IF_ERROR(r.status());
   if (!r.AtEnd()) {
@@ -194,8 +202,11 @@ Result<SessionScheduler> SessionScheduler::RestoreAll(
 // Reached cross-thread only under the owning shard's exec_mu capability
 // (serve/sharding.h); no internal locking by design — see the class comment.
 std::vector<PendingQuestion> SessionScheduler::Tick() {
-  // Coalesced scoring pass: group the pending feature rows of all runnable
-  // sessions by pinned model snapshot, in first-seen session order. Group
+  // Id order keeps the coalesced groups and any session-shared state
+  // (unseeded sessions, trace Rngs) independent of answer arrival order.
+  std::sort(ready_.begin(), ready_.end());
+  // Coalesced scoring pass: group the pending feature rows of the ready
+  // runnable sessions by pinned model snapshot, in first-seen order. Group
   // layout and batch size never affect a row's scores (batched scoring is
   // bit-identical per row), so this is purely a throughput optimisation —
   // and after a hot-swap, sessions pinning different registry versions
@@ -207,7 +218,7 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
     std::vector<std::pair<size_t, size_t>> members;  // (session id, row count)
   };
   std::vector<Group> groups;
-  for (size_t id = 0; id < slots_.size(); ++id) {
+  for (SessionId id : ready_) {
     Slot& slot = slots_[id];
     if (slot.state != SlotState::kRunnable) continue;
     const Matrix* features = slot.session->PendingCandidateFeatures();
@@ -240,15 +251,13 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
     }
   }
 
-  // Question pass: collect every runnable session's next question, in id
-  // order so any session-shared state (unseeded sessions, trace Rngs) is
-  // consumed in a reproducible order. Slots already awaiting an answer
-  // re-emit their in-flight question (NextQuestion is idempotent): after a
-  // crash recovery replays a partial tick, the preempted questions must
-  // reach a user again or their sessions would stay active forever.
+  // Question pass. A ready slot that is already awaiting was queued by
+  // Reissue() and re-emits its in-flight question (NextQuestion is
+  // idempotent); one cancelled or taken since it was queued is skipped.
   std::vector<PendingQuestion> questions;
-  for (size_t id = 0; id < slots_.size(); ++id) {
+  for (SessionId id : ready_) {
     Slot& slot = slots_[id];
+    slot.ready = false;
     if (slot.state != SlotState::kRunnable &&
         slot.state != SlotState::kAwaitingAnswer) {
       continue;
@@ -263,7 +272,20 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
       EmitHarvest(id);
     }
   }
+  ready_.clear();
   return questions;
+}
+
+void SessionScheduler::Reissue() {
+  for (SessionId id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].state == SlotState::kAwaitingAnswer) MarkReady(id);
+  }
+}
+
+void SessionScheduler::MarkReady(SessionId id) {
+  if (slots_[id].ready) return;
+  slots_[id].ready = true;
+  ready_.push_back(id);
 }
 
 void SessionScheduler::EmitHarvest(SessionId id) {
@@ -316,6 +338,7 @@ Status SessionScheduler::TryPostAnswer(SessionId id, Answer answer) {
   }
   slot.session->PostAnswer(answer);
   slot.state = SlotState::kRunnable;
+  MarkReady(id);
   return Status::Ok();
 }
 
@@ -631,6 +654,7 @@ Result<SessionScheduler> RecoverScheduler(const SessionStore& store,
                  i, posted.message().c_str()));
     }
   }
+  scheduler.Reissue();  // replay's questions reached no one
   return scheduler;
 }
 

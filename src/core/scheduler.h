@@ -2,20 +2,17 @@
 // one thread and coalesces their candidate-scoring work into shared batched
 // inference calls (DESIGN.md §13).
 //
-// One in-flight user no longer pins a thread: the scheduler holds every
+// One in-flight user does not pin a thread: the scheduler holds every
 // session between its PostAnswer and the next NextQuestion, and each Tick()
-// advances all runnable sessions at once. RL sessions (EA/AA) that are
-// about to pick a question expose their row-stacked candidate features
-// through the InteractionSession scoring protocol; the scheduler stacks the
-// rows of every runnable session pinning the same ModelSnapshot into ONE
-// batched Score call per tick — the PR-4 GEMM kernels finally run at
-// cross-session batch sizes instead of one round's pool, and after a
-// registry hot-swap (DESIGN.md §18) old-pin and new-pin sessions simply
-// form separate groups. Because batched scoring is bit-identical per row at
-// any batch size and the argmax is per-session, every session still picks
-// exactly the action it would have picked scoring itself: scheduler results
-// equal sequential Interact() results whenever the sessions are seeded
-// (SessionConfig::seed).
+// advances every session that became ready since the last one. RL sessions
+// (EA/AA) about to pick a question expose their row-stacked candidate
+// features through the InteractionSession scoring protocol; the scheduler
+// stacks the rows of every ready session pinning the same ModelSnapshot
+// into ONE batched Score call per tick (after a registry hot-swap, DESIGN.md
+// §18, old-pin and new-pin sessions form separate groups). Batched scoring
+// is bit-identical per row and the argmax is per-session, so scheduler
+// results equal sequential Interact() results whenever the sessions are
+// seeded (SessionConfig::seed).
 // Durability (DESIGN.md §14): the scheduler's population can be checkpointed
 // as one framed blob (CheckpointAll/RestoreAll), and SessionStore adds a
 // write-ahead answer log on top — every answer is logged before it is
@@ -72,8 +69,8 @@ using HarvestSink = std::function<void(size_t, const SessionTraceRecord&)>;
 ///   ... scheduler.Take(id) ...
 ///
 /// Answers may arrive in any order and across any number of ticks — a
-/// session whose user is still thinking simply stays out of the next
-/// tick's batch. Determinism: sessions are processed in id order and the
+/// session whose user is still thinking stays out of every tick until its
+/// answer arrives. Determinism: sessions are processed in id order and the
 /// coalesced batch only changes *which rows share a GEMM call*, never a
 /// row's scores, so results are independent of answer arrival order.
 ///
@@ -126,15 +123,23 @@ class SessionScheduler {
   /// also catch ones that terminate inside StartSession.
   void SetHarvestSink(HarvestSink sink) { harvest_ = std::move(sink); }
 
-  /// Advances every runnable session to its next question. First coalesces
-  /// pending candidate scoring: the feature rows of all runnable sessions
-  /// are grouped by pinned model snapshot (in first-seen session order),
-  /// each group runs one batched Score, and the per-session slices are
-  /// posted back. Then NextQuestion() is collected per session in id order.
-  /// Sessions that terminate contribute no question and become finished.
+  /// Advances the ready sessions — added, restored or answered since the
+  /// last Tick(), or queued by Reissue() — in id order. First coalesces
+  /// their pending candidate scoring: rows are grouped by pinned model
+  /// snapshot (first-seen order), each group runs one batched Score, and
+  /// the slices are posted back. Then NextQuestion() is collected per
+  /// session; one that terminates becomes finished instead. A session
+  /// awaiting an answer is not touched, so each question is emitted once
+  /// (plus once per Reissue()) and a tick costs O(ready sessions).
   std::vector<PendingQuestion> Tick();
 
-  /// Delivers a user's answer; the session becomes runnable for the next
+  /// Queues every session awaiting an answer for one more emission of its
+  /// in-flight question by the next Tick() — for a caller that lost the
+  /// questions it was handed (RecoverScheduler calls it; the sharded engine
+  /// calls it when serving restarts). O(population).
+  void Reissue();
+
+  /// Delivers a user's answer; the session becomes ready for the next
   /// Tick(). The id must currently be awaiting an answer (thin checked
   /// wrapper over TryPostAnswer — crashes on misuse, for trusted drivers).
   void PostAnswer(SessionId id, Answer answer);
@@ -188,13 +193,20 @@ class SessionScheduler {
     /// Non-OK iff this slot degraded to an aborted stub at restore time
     /// (kept so a re-checkpoint can carry the cause forward).
     Status abort_status = Status::Ok();
+    /// True while the id is on ready_ (keeps each id there at most once).
+    bool ready = false;
   };
+
+  /// Appends `id` to the ready list unless it is already there.
+  void MarkReady(SessionId id);
 
   /// Feeds the finished session at `id` to the harvest sink (no-op without
   /// a sink or for slots whose session was discarded).
   void EmitHarvest(SessionId id);
 
   std::vector<Slot> slots_;
+  /// Sessions the next Tick() advances, in arrival order (Tick sorts them).
+  std::vector<SessionId> ready_;
   size_t active_ = 0;
   HarvestSink harvest_;
 };
@@ -291,7 +303,8 @@ class SessionStore {
 /// addressed at slots that degraded to aborted stubs are skipped (the stub
 /// absorbed the session); a record that a *healthy* session cannot accept is
 /// a hard "WAL out of sync" error, because it means the log and snapshot do
-/// not belong together.
+/// not belong together. Replay's questions reach no one, so recovery ends
+/// with Reissue(): the first Tick() re-emits each in-flight question once.
 /// `models` flows into RestoreAll so registry-pinned sessions reopen under
 /// the exact version they were saved with (DESIGN.md §18).
 Result<SessionScheduler> RecoverScheduler(const SessionStore& store,

@@ -1,6 +1,5 @@
 #include "serve/sharding.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -59,9 +58,14 @@ ShardedScheduler::SessionId ShardedScheduler::Add(
                            ? shard.scheduler.Add(std::move(session))
                            : shard.scheduler.Add(std::move(session), algorithm);
   ISRL_CHECK_EQ(local, LocalOf(id));
-  shard.mirror.push_back(Mirror::kRunnable);
-  shard.delivered.push_back(0);
-  active_.fetch_add(1, std::memory_order_relaxed);
+  // A session can finish inside StartSession (an expired deadline, an
+  // infeasible start): it is then not active and never reaches a tick.
+  if (shard.scheduler.finished(local)) {
+    shard.mirror.push_back(Mirror::kFinished);
+  } else {
+    shard.mirror.push_back(Mirror::kRunnable);
+    active_.fetch_add(1, std::memory_order_relaxed);
+  }
   return id;
 }
 
@@ -203,28 +207,35 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
   }
   // Round-robin routing puts n/S (+1 for the first n%S shards) sessions on
   // shard k; a mismatch means the files come from runs with different
-  // populations or shard counts.
-  for (size_t k = 0; k < num_shards; ++k) {
-    Shard& shard = *engine->shards_[k];
-    MutexLock exec(shard.exec_mu);
-    const size_t expect = total / num_shards + (k < total % num_shards ? 1 : 0);
-    if (shard.scheduler.size() != expect) {
-      return Status::InvalidArgument(Format(
-          "recover: shard %zu holds %zu sessions but a %zu-session "
-          "%zu-shard population puts %zu there — the shard files do not "
-          "belong to one run",
-          k, shard.scheduler.size(), total, num_shards, expect));
-    }
-  }
-  engine->size_ = total;
+  // populations or shard counts. Each shard's mirror is then rebuilt from
+  // its recovered scheduler.
   size_t active = 0;
   for (size_t k = 0; k < num_shards; ++k) {
     Shard& shard = *engine->shards_[k];
     MutexLock exec(shard.exec_mu);
+    const size_t n = shard.scheduler.size();
+    const size_t expect = total / num_shards + (k < total % num_shards ? 1 : 0);
+    if (n != expect) {
+      return Status::InvalidArgument(Format(
+          "recover: shard %zu holds %zu sessions but a %zu-session "
+          "%zu-shard population puts %zu there — the shard files do not "
+          "belong to one run",
+          k, n, total, num_shards, expect));
+    }
     MutexLock lock(shard.mu);
-    SyncMirror(shard);
+    shard.mirror.assign(n, Mirror::kRunnable);
+    for (size_t i = 0; i < n; ++i) {
+      if (shard.scheduler.taken(i)) {
+        shard.mirror[i] = Mirror::kTaken;
+      } else if (shard.scheduler.finished(i)) {
+        shard.mirror[i] = Mirror::kFinished;
+      } else if (shard.scheduler.awaiting(i)) {
+        shard.mirror[i] = Mirror::kAwaiting;
+      }
+    }
     active += shard.scheduler.active();
   }
+  engine->size_ = total;
   engine->active_.store(active, std::memory_order_relaxed);
   return engine;
 }
@@ -247,23 +258,6 @@ void ShardedScheduler::SetHarvestSink(HarvestSink sink) {
   }
 }
 
-void ShardedScheduler::SyncMirror(Shard& shard) {
-  const size_t n = shard.scheduler.size();
-  shard.mirror.assign(n, Mirror::kRunnable);
-  shard.delivered.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (shard.scheduler.taken(i)) {
-      shard.mirror[i] = Mirror::kTaken;
-    } else if (shard.scheduler.finished(i)) {
-      shard.mirror[i] = Mirror::kFinished;
-    } else if (shard.scheduler.awaiting(i)) {
-      // The in-flight question re-emits on the first tick (at-least-once
-      // delivery); delivered stays 0 so the sink sees it again.
-      shard.mirror[i] = Mirror::kAwaiting;
-    }
-  }
-}
-
 void ShardedScheduler::Start(QuestionSink sink) {
   ISRL_CHECK(!running_.load(std::memory_order_acquire));
   sink_ = std::move(sink);
@@ -272,16 +266,10 @@ void ShardedScheduler::Start(QuestionSink sink) {
   for (size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
     {
-      // Re-deliver questions that were in flight when the previous Start()
-      // stopped (or when the population was recovered): at-least-once, the
-      // same contract as crash recovery.
-      MutexLock lock(shard.mu);
-      std::fill(shard.delivered.begin(), shard.delivered.end(),
-                static_cast<uint8_t>(0));
-    }
-    {
+      // Questions still in flight from a previous Start() (or a recovered
+      // population) go to the new sink once more, on the first tick.
       MutexLock exec(shard.exec_mu);
-      shard.last_active = shard.scheduler.active();
+      shard.scheduler.Reissue();
     }
     shard.worker = std::thread(&ShardedScheduler::WorkerLoop, this, k);
   }
@@ -450,8 +438,6 @@ Result<InteractionResult> ShardedScheduler::TryTake(SessionId id) {
 void ShardedScheduler::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   std::vector<Inbound> batch;
-  std::vector<uint8_t> finished_now;
-  std::vector<std::pair<SessionId, SessionQuestion>> fresh;
   bool first = true;
   while (true) {
     batch.clear();
@@ -463,16 +449,25 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
           shard.cv.Wait(shard.mu);
         }
       }
-      first = false;
       if (shard.halted) return;
       batch.swap(shard.inbox);
       if (batch.empty() && stop_.load(std::memory_order_acquire)) return;
+      // Taken from the inbox: runnable until this pass settles them. A
+      // record can outlive its session (a cancel queued while an earlier
+      // record was finishing it); that slot stays finished or taken.
+      for (const Inbound& in : batch) {
+        Mirror& mirror = shard.mirror[in.local_id];
+        if (mirror == Mirror::kAnswerQueued || mirror == Mirror::kCancelQueued) {
+          mirror = Mirror::kRunnable;
+        }
+      }
     }
 
     std::vector<PendingQuestion> questions;
-    size_t drained_delta = 0;
+    size_t drained = 0;
     {
       MutexLock exec(shard.exec_mu);
+      const size_t active_before = shard.scheduler.active();
       // Write-ahead: every record in this batch reaches the shard's store
       // file before any of them is applied (DESIGN.md §14) — one fsynced
       // append per batch, not per answer.
@@ -501,6 +496,7 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
         }
       }
       questions = shard.scheduler.Tick();
+      drained = active_before - shard.scheduler.active();
       if (shard.durable && options_.checkpoint_every_ticks > 0 &&
           ++shard.ticks >= options_.checkpoint_every_ticks) {
         shard.ticks = 0;
@@ -516,50 +512,36 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
           return;
         }
       }
-      const size_t n = shard.scheduler.size();
-      finished_now.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        finished_now[i] =
-            shard.scheduler.finished(i) || shard.scheduler.taken(i);
-      }
-      const size_t now_active = shard.scheduler.active();
-      if (now_active < shard.last_active) {
-        drained_delta = shard.last_active - now_active;
-        shard.last_active = now_active;
-      }
-    }
 
-    fresh.clear();
-    {
+      // Fold the pass into the mirror. Once serving, Tick() advances only
+      // the sessions this batch answered, so the batch names every slot
+      // that can have changed; the first pass after Start() also ticked the
+      // sessions Add/Recover/Reissue left ready, so it settles every slot.
       MutexLock lock(shard.mu);
-      // Applied records consumed their question; whatever the session does
-      // next (new question, finish) is fresh.
-      for (const Inbound& in : batch) shard.delivered[in.local_id] = 0;
-      for (size_t i = 0; i < finished_now.size(); ++i) {
-        if (finished_now[i] && shard.mirror[i] != Mirror::kTaken) {
-          shard.mirror[i] = Mirror::kFinished;
+      const size_t touched = first ? shard.mirror.size() : batch.size();
+      for (size_t i = 0; i < touched; ++i) {
+        const size_t local = first ? i : batch[i].local_id;
+        if (shard.scheduler.finished(local)) {
+          shard.mirror[local] = Mirror::kFinished;
         }
       }
-      // Tick re-emits in-flight questions (at-least-once across recovery);
-      // the delivered flag turns that into exactly-once towards the sink
-      // while this process lives.
+      // Only a runnable slot's question is new. A re-issued one keeps its
+      // mirror: awaiting, or answered or cancelled since Start().
       for (const PendingQuestion& pq : questions) {
-        if (shard.delivered[pq.session_id]) continue;
-        shard.delivered[pq.session_id] = 1;
-        shard.mirror[pq.session_id] = Mirror::kAwaiting;
-        fresh.emplace_back(GlobalOf(shard_index, pq.session_id), pq.question);
+        if (shard.mirror[pq.session_id] == Mirror::kRunnable) {
+          shard.mirror[pq.session_id] = Mirror::kAwaiting;
+        }
       }
     }
+    first = false;
 
     // Deliver outside every lock: the sink may call TryPostAnswer/TryCancel
     // for any session, including this one.
-    for (const auto& [global_id, question] : fresh) {
-      sink_(global_id, question);
+    for (const PendingQuestion& pq : questions) {
+      sink_(GlobalOf(shard_index, pq.session_id), pq.question);
     }
 
-    if (drained_delta > 0 &&
-        active_.fetch_sub(drained_delta, std::memory_order_acq_rel) ==
-            drained_delta) {
+    if (drained > 0 && active_.fetch_sub(drained, std::memory_order_acq_rel) == drained) {
       NotifyDrained();
     }
   }

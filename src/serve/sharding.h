@@ -100,9 +100,9 @@ class ShardedScheduler {
  public:
   using SessionId = size_t;
   /// Question delivery callback; invoked on the owning shard's worker
-  /// thread, exactly once per question (re-emitted in-flight questions are
-  /// deduplicated). It may call TryPostAnswer/TryCancel, including for the
-  /// session it was invoked for.
+  /// thread once per question, plus once per Start() for a question still
+  /// in flight when serving (re)starts. It may call TryPostAnswer/TryCancel,
+  /// including for the session it was invoked for.
   using QuestionSink = std::function<void(SessionId, const SessionQuestion&)>;
 
   explicit ShardedScheduler(ShardedOptions options);
@@ -155,7 +155,8 @@ class ShardedScheduler {
 
   /// Spawns one worker per shard and begins serving: workers drain their
   /// inbound queues, apply answers, tick their scheduler, and deliver new
-  /// questions through `sink`.
+  /// questions through `sink`. Questions in flight from a previous Start()
+  /// or a Recover()ed population are delivered to `sink` once more.
   void Start(QuestionSink sink);
 
   /// Blocks until every session has finished (returns Ok), a shard halts on
@@ -197,7 +198,7 @@ class ShardedScheduler {
   /// SessionScheduler's own state is worker-owned; this mirror is what the
   /// mutex-sharded boundary validates against without touching it.
   enum class Mirror : uint8_t {
-    kRunnable,       ///< between answer application and the next tick
+    kRunnable,       ///< added, or record taken from the inbox; no question yet
     kAwaiting,       ///< question out, no answer queued yet
     kAnswerQueued,   ///< answer in the inbox, not yet applied
     kCancelQueued,   ///< cancellation in the inbox
@@ -213,7 +214,8 @@ class ShardedScheduler {
 
   /// Per-shard state, split across two capabilities (DESIGN.md §16).
   /// Lock hierarchy: `exec_mu` is acquired BEFORE `mu` wherever both are
-  /// held (TryTake, and Halt called from under the worker's exec section);
+  /// held (TryTake, the worker folding a tick into the mirror, and Halt
+  /// called from under the worker's exec section);
   /// enforced by ISRL_ACQUIRED_BEFORE under -Wthread-safety-beta.
   struct Shard {
     /// Serializes scheduler execution: the worker's WAL+apply+tick section
@@ -225,8 +227,6 @@ class ShardedScheduler {
     SessionStore store ISRL_GUARDED_BY(exec_mu);
     std::string store_path ISRL_GUARDED_BY(exec_mu);
     bool durable ISRL_GUARDED_BY(exec_mu) = false;
-    /// scheduler.active() after the previous tick, for drain accounting.
-    size_t last_active ISRL_GUARDED_BY(exec_mu) = 0;
     /// Ticks since the current durability epoch began.
     size_t ticks ISRL_GUARDED_BY(exec_mu) = 0;
 
@@ -236,8 +236,6 @@ class ShardedScheduler {
     CondVar cv;  ///< signalled on inbox push and on Stop()
     std::vector<Inbound> inbox ISRL_GUARDED_BY(mu);
     std::vector<Mirror> mirror ISRL_GUARDED_BY(mu);
-    /// Current question already handed to the sink (dedupe flag).
-    std::vector<uint8_t> delivered ISRL_GUARDED_BY(mu);
     Status error ISRL_GUARDED_BY(mu);
     bool halted ISRL_GUARDED_BY(mu) = false;
 
@@ -258,11 +256,6 @@ class ShardedScheduler {
   /// itself, consistent with the exec_mu → mu hierarchy.
   void Halt(Shard& shard, Status cause) ISRL_EXCLUDES(shard.mu);
   void NotifyDrained() ISRL_EXCLUDES(drain_mu_);
-  /// Rebuilds a shard's boundary mirror from its scheduler's state (used at
-  /// Start and Recover; the shard's worker must be stopped, and the caller
-  /// holds both of the shard's capabilities).
-  static void SyncMirror(Shard& shard)
-      ISRL_REQUIRES(shard.exec_mu, shard.mu);
 
   ShardedOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -7,10 +7,13 @@
 // any byte recovers to the longest clean prefix (or a clean Status) and never
 // crashes, and a shard halted by a mid-run write failure is recoverable from
 // its own file. Run with `ctest -L serving`; CI runs this label under TSan.
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "core/aa.h"
 #include "core/ea.h"
@@ -919,6 +923,268 @@ TEST(ShardedDurabilityTest, MidRunWriteFailureHaltsTheShardRecoverably) {
     std::remove(ShardedScheduler::ShardPath(prefix, k).c_str());
   }
   std::remove(ShardedScheduler::ManifestPath(prefix).c_str());
+}
+
+// Users who stop answering park their session with a question out. While
+// serving, a parked question is never handed to the sink again (the
+// scheduler does not re-emit it); each Start() hands it over exactly once
+// more, since the new sink cannot know what the old one was given. Results
+// still equal the sequential reference.
+TEST(ShardedServingTest, ParkedQuestionsAreRedeliveredOncePerStart) {
+  Roster roster(SmallSkyline(200, 3, 291));
+  RunBudget budget;
+  budget.max_rounds = 10;
+  const uint64_t master = 0x9A4C;
+  const size_t sessions = 24;
+  const size_t kAnswersBeforeStop = 2;
+  std::vector<Vec> utilities = FleetUtilities(sessions, 3, 292);
+  std::vector<InteractionResult> reference =
+      SequentialReference(roster, sessions, budget, master, utilities);
+
+  const size_t shards = 3;
+  ShardStacks stacks(roster, shards);
+  ShardedScheduler sharded(ShardedOptions{shards});
+  AddShardedPopulation(sharded, stacks, sessions, roster.all().size(), budget,
+                       master);
+  Fleet fleet = LinearFleet(utilities);
+
+  // Every delivery, per session and per Start() phase; `settled` counts
+  // sessions that parked or finished in the current phase.
+  struct Deliveries {
+    Mutex mu;
+    CondVar cv;
+    std::vector<std::vector<std::vector<SessionQuestion>>> by_phase ISRL_GUARDED_BY(mu);
+    size_t settled ISRL_GUARDED_BY(mu) = 0;
+  } log;
+  auto settle_one = [&log] {
+    MutexLock lock(log.mu);
+    ++log.settled;
+    log.cv.NotifyAll();
+  };
+  auto wait_settled = [&log](size_t count) {
+    MutexLock lock(log.mu);
+    while (log.settled < count) log.cv.Wait(log.mu);
+  };
+  // Records a delivery; returns how many questions this session has been
+  // handed in the current phase.
+  auto record = [&log](size_t id, const SessionQuestion& question) {
+    MutexLock lock(log.mu);
+    log.by_phase.back()[id].push_back(question);
+    return log.by_phase.back()[id].size();
+  };
+  auto begin_phase = [&log, sessions] {
+    MutexLock lock(log.mu);
+    log.by_phase.emplace_back(sessions);
+    log.settled = 0;
+  };
+  std::atomic<size_t> finished{0};
+  sharded.SetHarvestSink([&](size_t, const SessionTraceRecord&) {
+    finished.fetch_add(1);
+    settle_one();
+  });
+  auto answer = [&](size_t id, const SessionQuestion& question) {
+    EXPECT_TRUE(sharded
+                    .TryPostAnswer(id, fleet.users[id]->Ask(question.first,
+                                                            question.second))
+                    .ok());
+  };
+
+  // Phase 0: answer each session's first questions, then park.
+  begin_phase();
+  sharded.Start([&](size_t id, const SessionQuestion& question) {
+    if (record(id, question) <= kAnswersBeforeStop) {
+      answer(id, question);
+    } else {
+      settle_one();
+    }
+  });
+  wait_settled(sessions);
+  sharded.Stop();
+  const size_t parked = sessions - finished.load();
+  ASSERT_GT(parked, 0u);
+
+  // Phase 1: a sink that only parks sees every parked question once.
+  begin_phase();
+  sharded.Start([&](size_t id, const SessionQuestion& question) {
+    record(id, question);
+    settle_one();
+  });
+  wait_settled(parked);
+  sharded.Stop();
+
+  // Phase 2: answer everything.
+  begin_phase();
+  sharded.Start([&](size_t id, const SessionQuestion& question) {
+    record(id, question);
+    answer(id, question);
+  });
+  ASSERT_TRUE(sharded.WaitUntilDrained().ok());
+  sharded.Stop();
+
+  // Results first: TryTake takes the shard's exec capability, which the
+  // harvest sink holds when it takes log.mu.
+  std::vector<InteractionResult> results;
+  for (size_t i = 0; i < sessions; ++i) {
+    Result<InteractionResult> result = sharded.TryTake(i);
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    ExpectSameResult(reference[i], *result, "session " + std::to_string(i));
+    results.push_back(std::move(*result));
+  }
+  MutexLock lock(log.mu);
+  for (size_t i = 0; i < sessions; ++i) {
+    const std::string label = "session " + std::to_string(i);
+    const InteractionResult* result = &results[i];
+    const std::vector<SessionQuestion>& before = log.by_phase[0][i];
+    if (before.size() <= kAnswersBeforeStop) {
+      // Finished in phase 0: no restart hands it anything.
+      EXPECT_EQ(before.size(), result->rounds) << label;
+      EXPECT_TRUE(log.by_phase[1][i].empty()) << label;
+      EXPECT_TRUE(log.by_phase[2][i].empty()) << label;
+      continue;
+    }
+    // Parked: handed over once in phase 0 and once per later Start().
+    ASSERT_EQ(before.size(), kAnswersBeforeStop + 1) << label;
+    const SessionQuestion& parked_question = before.back();
+    ASSERT_EQ(log.by_phase[1][i].size(), 1u) << label;
+    ASSERT_FALSE(log.by_phase[2][i].empty()) << label;
+    for (size_t phase : {1, 2}) {
+      const SessionQuestion& again = log.by_phase[phase][i].front();
+      EXPECT_EQ(again.pair.i, parked_question.pair.i) << label;
+      EXPECT_EQ(again.pair.j, parked_question.pair.j) << label;
+      EXPECT_EQ(again.first, parked_question.first) << label;
+    }
+    EXPECT_EQ(before.size() + log.by_phase[1][i].size() +
+                  log.by_phase[2][i].size(),
+              result->rounds + 2)
+        << label;
+  }
+}
+
+// Waits for `sharded` to drain. Task 0 waits; task 1 is a watchdog that
+// stops the engine (which releases the wait) and sets *timed_out if the
+// drain takes longer than `seconds`, so a drain regression fails a test
+// instead of hanging it.
+Status DrainWithin(ShardedScheduler& sharded, double seconds, bool* timed_out) {
+  std::atomic<bool> done{false};
+  std::atomic<bool> expired{false};
+  Status drained;  // written by task 0 only, read after the join below
+  ParallelFor(2, 2, [&](size_t task) {
+    if (task == 0) {
+      drained = sharded.WaitUntilDrained();
+      done.store(true);
+      return;
+    }
+    Stopwatch watch;
+    while (!done.load() && watch.ElapsedSeconds() < seconds) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!done.load()) {
+      expired.store(true);
+      sharded.Stop();
+    }
+  });
+  *timed_out = expired.load();
+  return drained;
+}
+
+// A session can finish inside StartSession — here its deadline has passed
+// before it asks anything. Such a session is not active: the engine must
+// count it as finished at Add, or WaitUntilDrained (and DriveSharded) would
+// wait for a tick that never comes. The drain is bounded so a regression
+// fails the test instead of hanging it.
+TEST(ShardedServingTest, SessionFinishedAtStartDoesNotBlockTheDrain) {
+  Roster roster(SmallSkyline(150, 3, 281));
+  const size_t sessions = 4;
+  const size_t expired = 1;
+  auto config_of = [&](size_t i) {
+    SessionConfig config;
+    config.budget.max_rounds = 6;
+    if (i == expired) config.budget.max_seconds = 1e-12;
+    config.seed = SplitSeed(0xF1, i);
+    return config;
+  };
+  std::vector<Vec> utilities = FleetUtilities(sessions, 3, 282);
+
+  SessionScheduler single;
+  for (size_t i = 0; i < sessions; ++i) {
+    single.Add(roster.uh_random.StartSession(config_of(i)));
+  }
+  ASSERT_TRUE(single.finished(expired));
+  EXPECT_EQ(single.active(), sessions - 1);
+  Fleet fleet = LinearFleet(utilities);
+  std::vector<InteractionResult> reference = DriveWithUsers(single, fleet.users);
+  EXPECT_EQ(reference[expired].termination, Termination::kBudgetExhausted);
+
+  // UH-Random is const once seeded, so one instance serves both shards.
+  ShardedScheduler sharded(ShardedOptions{2});
+  for (size_t i = 0; i < sessions; ++i) {
+    sharded.Add(roster.uh_random.StartSession(config_of(i)));
+  }
+  EXPECT_EQ(sharded.active(), sessions - 1);
+  EXPECT_EQ(sharded.TryPostAnswer(expired, Answer::kFirst).code(),
+            StatusCode::kFailedPrecondition);
+  Fleet fresh = LinearFleet(utilities);
+  sharded.Start([&](size_t id, const SessionQuestion& question) {
+    EXPECT_NE(id, expired);
+    const Answer answer = fresh.users[id]->Ask(question.first, question.second);
+    EXPECT_TRUE(sharded.TryPostAnswer(id, answer).ok());
+  });
+
+  bool timed_out = false;
+  Status drained = DrainWithin(sharded, 5.0, &timed_out);
+  sharded.Stop();
+  ASSERT_FALSE(timed_out) << "WaitUntilDrained did not return";
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_EQ(sharded.active(), 0u);
+  for (size_t i = 0; i < sessions; ++i) {
+    Result<InteractionResult> result = sharded.TryTake(i);
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    ExpectSameResult(reference[i], *result, "session " + std::to_string(i));
+  }
+}
+
+// A harvest sink runs inside the worker's tick, after the pass took its
+// batch from the inbox. A TryCancel it issues for the session that just
+// finished is therefore queued for the next pass, where it is a no-op. The
+// session must still count as drained exactly once: counting it again would
+// release WaitUntilDrained while other sessions are live, or wrap the count.
+TEST(ShardedServingTest, CancelQueuedAsASessionFinishesIsDrainedOnce) {
+  Roster roster(SmallSkyline(200, 3, 301));
+  RunBudget budget;
+  budget.max_rounds = 8;
+  const uint64_t master = 0xCA4C;
+  const size_t sessions = 16;
+  std::vector<Vec> utilities = FleetUtilities(sessions, 3, 302);
+  std::vector<InteractionResult> reference =
+      SequentialReference(roster, sessions, budget, master, utilities);
+
+  const size_t shards = 2;
+  ShardStacks stacks(roster, shards);
+  ShardedScheduler sharded(ShardedOptions{shards});
+  AddShardedPopulation(sharded, stacks, sessions, roster.all().size(), budget,
+                       master);
+  std::atomic<size_t> harvested{0};
+  sharded.SetHarvestSink([&](size_t id, const SessionTraceRecord&) {
+    harvested.fetch_add(1);
+    EXPECT_TRUE(sharded.TryCancel(id).ok()) << id;
+  });
+  Fleet fleet = LinearFleet(utilities);
+  sharded.Start([&](size_t id, const SessionQuestion& question) {
+    const Answer answer = fleet.users[id]->Ask(question.first, question.second);
+    EXPECT_TRUE(sharded.TryPostAnswer(id, answer).ok()) << id;
+  });
+  bool timed_out = false;
+  Status drained = DrainWithin(sharded, 5.0, &timed_out);
+  sharded.Stop();
+  ASSERT_FALSE(timed_out) << "WaitUntilDrained did not return";
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  EXPECT_EQ(sharded.active(), 0u);
+  EXPECT_EQ(harvested.load(), sessions);
+  for (size_t i = 0; i < sessions; ++i) {
+    Result<InteractionResult> result = sharded.TryTake(i);
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    ExpectSameResult(reference[i], *result, "session " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -3,10 +3,15 @@
 // InteractionResult — and identical trace vectors — to the blocking
 // Interact() driver, under honest users, faulty users (flips, kNoAnswer
 // timeouts), and exhausted budgets. Plus SessionScheduler: N coalesced
-// sessions equal N sequential Interact() calls, answer-order independent.
+// sessions equal N sequential Interact() calls, answer-order independent,
+// and a tick asks only the sessions that became ready since the last one.
 #include <algorithm>
+#include <deque>
 #include <initializer_list>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +26,7 @@
 #include "core/ea.h"
 #include "core/scheduler.h"
 #include "core/session.h"
+#include "core/snapshot.h"
 #include "data/skyline.h"
 #include "data/synthetic.h"
 #include "user/faulty.h"
@@ -478,6 +484,249 @@ TEST(SchedulerTest, CancelMidFlightAndMixedAlgorithms) {
     EXPECT_TRUE(scheduler.finished(i));
     InteractionResult r = scheduler.Take(i);
     ASSERT_LT(r.best_index, roster.sky.size()) << algos[i]->name();
+  }
+}
+
+// ------------------------------------------------- event-driven delivery
+
+/// Deterministic stand-in session for the delivery contract: asks `rounds`
+/// questions — question k of session s is the pair (s, k) — then finishes
+/// with a result that encodes every answer it got. Every NextQuestion()
+/// call is counted per session id, so a test sees exactly which sessions a
+/// Tick() touched.
+class CountingSession final : public InteractionSession {
+ public:
+  CountingSession(size_t id, size_t rounds, size_t asked, size_t code,
+                  std::vector<size_t>* calls)
+      : id_(id), rounds_(rounds), asked_(asked), code_(code), calls_(calls) {}
+
+  std::optional<SessionQuestion> NextQuestion() override {
+    ++(*calls_)[id_];
+    if (Finished()) return std::nullopt;
+    SessionQuestion question;
+    question.pair = Question{id_, asked_};
+    return question;
+  }
+  void PostAnswer(Answer answer) override {
+    code_ = code_ * 3 + static_cast<size_t>(answer);
+    ++asked_;
+  }
+  void Cancel() override { rounds_ = asked_; }
+  bool Finished() const override { return asked_ >= rounds_; }
+  InteractionResult Finish() override {
+    InteractionResult result;
+    result.best_index = code_;
+    result.rounds = asked_;
+    return result;
+  }
+  Result<std::string> SaveState() const override {
+    snapshot::Writer w;
+    w.U64(id_);
+    w.U64(rounds_);
+    w.U64(asked_);
+    w.U64(code_);
+    return w.Take();
+  }
+
+ private:
+  size_t id_;
+  size_t rounds_;
+  size_t asked_;
+  size_t code_;
+  std::vector<size_t>* calls_;
+};
+
+/// Starts CountingSessions; the session id is the config's seed.
+class CountingAlgorithm final : public InteractiveAlgorithm {
+ public:
+  explicit CountingAlgorithm(size_t rounds) : rounds_(rounds) {}
+
+  std::string name() const override { return "Counting"; }
+  std::unique_ptr<InteractionSession> StartSession(
+      const SessionConfig& config) override {
+    return Open(static_cast<size_t>(config.seed.value_or(0)), rounds_, 0, 0);
+  }
+  Result<std::unique_ptr<InteractionSession>> RestoreSession(
+      const std::string& bytes, const SessionConfig& /*config*/) override {
+    snapshot::Reader r(bytes);
+    const size_t id = r.U64();
+    const size_t rounds = r.U64();
+    const size_t asked = r.U64();
+    const size_t code = r.U64();
+    ISRL_RETURN_IF_ERROR(r.status());
+    return Open(id, rounds, asked, code);
+  }
+
+  size_t TotalCalls() const {
+    return std::accumulate(calls.begin(), calls.end(), size_t{0});
+  }
+  AlgorithmResolver Resolver() {
+    return [this](const std::string&) -> InteractiveAlgorithm* { return this; };
+  }
+
+  std::vector<size_t> calls;  ///< NextQuestion() calls per session id
+
+ private:
+  std::unique_ptr<InteractionSession> Open(size_t id, size_t rounds,
+                                           size_t asked, size_t code) {
+    if (calls.size() <= id) calls.resize(id + 1, 0);
+    return std::make_unique<CountingSession>(id, rounds, asked, code, &calls);
+  }
+
+  size_t rounds_;
+};
+
+Answer CountingAnswer(const PendingQuestion& pq) {
+  return (pq.question.pair.i + pq.question.pair.j) % 2 == 0 ? Answer::kFirst
+                                                            : Answer::kSecond;
+}
+
+// Users pace themselves: one answer per tick across 1024 in-flight
+// sessions. Each Tick() must ask only the session just answered (or, when
+// that answer finished it, the session added in its place) — never re-ask
+// the 1023 sessions still waiting on their users — so every tick returns
+// exactly one question and costs O(1) NextQuestion() calls. A restored
+// population is asked once per live session, then only as answers arrive.
+TEST(SchedulerDeliveryTest, TickAsksOnlyReadySessions) {
+  const size_t kSessions = 1024;
+  const size_t kRounds = 3;
+  CountingAlgorithm algo(kRounds);
+  size_t next_id = 0;
+  auto add = [&](SessionScheduler& s) {
+    SessionConfig config;
+    config.seed = next_id++;
+    return s.Add(algo.StartSession(config), &algo);
+  };
+  SessionScheduler scheduler;
+  for (size_t i = 0; i < kSessions; ++i) add(scheduler);
+  std::vector<PendingQuestion> first = scheduler.Tick();
+  ASSERT_EQ(first.size(), kSessions);
+  EXPECT_EQ(algo.TotalCalls(), kSessions);
+  std::deque<PendingQuestion> waiting(first.begin(), first.end());
+
+  // One answer per tick, oldest question first.
+  auto answer_one = [&](SessionScheduler& s) {
+    const PendingQuestion pq = waiting.front();
+    waiting.pop_front();
+    s.PostAnswer(pq.session_id, CountingAnswer(pq));
+    const size_t answered_calls = algo.calls[pq.session_id];
+    const size_t total_calls = algo.TotalCalls();
+    const bool last = pq.question.pair.j + 1 == kRounds;
+    const size_t expect_id = last ? add(s) : pq.session_id;
+    std::vector<PendingQuestion> asked = s.Tick();
+    ASSERT_EQ(asked.size(), 1u) << "answer to session " << pq.session_id;
+    EXPECT_EQ(asked[0].session_id, expect_id);
+    EXPECT_EQ(algo.calls[pq.session_id], answered_calls + 1);
+    EXPECT_EQ(algo.TotalCalls(), total_calls + (last ? 2 : 1));
+    waiting.push_back(asked[0]);
+  };
+  for (size_t answer = 0; answer < kRounds * kSessions; ++answer) {
+    answer_one(scheduler);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(scheduler.active(), kSessions);
+
+  Result<std::string> bytes = scheduler.CheckpointAll();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Result<SessionScheduler> restored =
+      SessionScheduler::RestoreAll(*bytes, algo.Resolver());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const size_t total_calls = algo.TotalCalls();
+  std::vector<PendingQuestion> reasked = restored->Tick();
+  ASSERT_EQ(reasked.size(), kSessions);
+  EXPECT_EQ(algo.TotalCalls(), total_calls + kSessions);
+  std::sort(waiting.begin(), waiting.end(),
+            [](const PendingQuestion& a, const PendingQuestion& b) {
+              return a.session_id < b.session_id;
+            });
+  for (size_t i = 0; i < kSessions; ++i) {
+    EXPECT_EQ(reasked[i].session_id, waiting[i].session_id);
+    EXPECT_EQ(reasked[i].question.pair.j, waiting[i].question.pair.j);
+  }
+  waiting.assign(reasked.begin(), reasked.end());
+  for (size_t answer = 0; answer < kRounds * 16; ++answer) {
+    answer_one(*restored);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Crash recovery re-asks each in-flight question exactly once: the first
+// Tick() after RecoverScheduler emits one question per live session (the
+// questions replay asked went to no user), the next Tick() emits nothing
+// until an answer arrives, and the population finishes exactly as an
+// uninterrupted run does.
+TEST(SchedulerDeliveryTest, RecoveryReissuesEachInFlightQuestionOnce) {
+  const size_t kSessions = 64;
+  const size_t kRounds = 4;
+  auto start = [&](CountingAlgorithm& algo, SessionScheduler& scheduler) {
+    for (size_t i = 0; i < kSessions; ++i) {
+      SessionConfig config;
+      config.seed = i;
+      scheduler.Add(algo.StartSession(config), &algo);
+    }
+  };
+  auto finish = [&](SessionScheduler& scheduler,
+                    std::vector<PendingQuestion> pending) {
+    while (scheduler.active() > 0) {
+      for (const PendingQuestion& pq : pending) {
+        scheduler.PostAnswer(pq.session_id, CountingAnswer(pq));
+      }
+      pending = scheduler.Tick();
+    }
+    std::vector<InteractionResult> results;
+    for (size_t i = 0; i < scheduler.size(); ++i) {
+      results.push_back(scheduler.Take(i));
+    }
+    return results;
+  };
+  CountingAlgorithm reference_algo(kRounds);
+  SessionScheduler reference;
+  start(reference_algo, reference);
+  std::vector<InteractionResult> expected =
+      finish(reference, reference.Tick());
+
+  // Trickle answers through the write-ahead log, then crash with the last
+  // answer logged and applied but its tick never run.
+  CountingAlgorithm algo(kRounds);
+  SessionScheduler scheduler;
+  start(algo, scheduler);
+  SessionStore store;
+  Result<std::string> epoch = scheduler.CheckpointAll();
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  store.BeginEpoch(*epoch);
+  std::deque<PendingQuestion> waiting;
+  for (PendingQuestion& pq : scheduler.Tick()) waiting.push_back(std::move(pq));
+  for (size_t answer = 0; answer < 100; ++answer) {
+    const PendingQuestion pq = waiting.front();
+    waiting.pop_front();
+    store.LogAnswer(pq.session_id, CountingAnswer(pq));
+    scheduler.PostAnswer(pq.session_id, CountingAnswer(pq));
+    if (answer == 99) break;  // crash before this answer's tick
+    for (PendingQuestion& next : scheduler.Tick()) {
+      waiting.push_back(std::move(next));
+    }
+  }
+
+  Result<SessionScheduler> recovered =
+      RecoverScheduler(store, algo.Resolver());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  std::vector<PendingQuestion> reissued = recovered->Tick();
+  ASSERT_EQ(reissued.size(), recovered->active());
+  std::vector<size_t> seen(kSessions, 0);
+  for (const PendingQuestion& pq : reissued) ++seen[pq.session_id];
+  for (const PendingQuestion& pq : waiting) {
+    EXPECT_EQ(seen[pq.session_id], 1u) << "in-flight session " << pq.session_id;
+  }
+  const size_t total_calls = algo.TotalCalls();
+  EXPECT_TRUE(recovered->Tick().empty());
+  EXPECT_EQ(algo.TotalCalls(), total_calls);
+
+  std::vector<InteractionResult> results =
+      finish(*recovered, std::move(reissued));
+  ASSERT_EQ(results.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(results[i].best_index, expected[i].best_index) << i;
+    EXPECT_EQ(results[i].rounds, expected[i].rounds) << i;
   }
 }
 
