@@ -30,9 +30,7 @@ void Run() {
       opt.seed = seed;
       opt.max_rounds = budget;
       Ea ea(sky, opt);
-      ea.agent().main_network().CopyParamsFrom(
-          ea_trained.agent().main_network());
-      ea.agent().SyncTarget();
+      ISRL_CHECK(ea.SetWeights(ea_trained.agent().main_network()).ok());
       PrintEvalRow(label, Evaluate(ea, sky, eval, 0.1));
     }
     {
@@ -41,9 +39,7 @@ void Run() {
       opt.seed = seed;
       opt.max_rounds = budget;
       Aa aa(sky, opt);
-      aa.agent().main_network().CopyParamsFrom(
-          aa_trained.agent().main_network());
-      aa.agent().SyncTarget();
+      ISRL_CHECK(aa.SetWeights(aa_trained.agent().main_network()).ok());
       PrintEvalRow(label, Evaluate(aa, sky, eval, 0.1));
     }
     {

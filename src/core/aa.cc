@@ -1,7 +1,5 @@
 #include "core/aa.h"
 
-#include "nn/serialize.h"
-
 #include <algorithm>
 #include <cmath>
 #include <optional>
@@ -9,7 +7,6 @@
 #include "audit/audit.h"
 #include "audit/checkers.h"
 #include "common/stopwatch.h"
-#include "common/strings.h"
 #include "core/snapshot.h"
 #include "geometry/hit_and_run.h"
 
@@ -22,33 +19,14 @@ constexpr uint32_t kAaSnapshotVersion = 2;
 }  // namespace
 
 Aa::Aa(const Dataset& data, const AaOptions& options)
-    : data_(data),
-      options_(options),
-      rng_(options.seed),
-      input_dim_(AaStateDim(data.dim()) + 3 * data.dim() + kActionDescriptors),
-      agent_(input_dim_, options.dqn, rng_) {
+    : RlAlgorithm(options.seed,
+                  AaStateDim(data.dim()) + 3 * data.dim() + kActionDescriptors,
+                  options.dqn),
+      data_(data),
+      options_(options) {
   ISRL_CHECK(!data.empty());
   ISRL_CHECK_GT(options.epsilon, 0.0);
   ISRL_CHECK_LT(options.epsilon, 1.0);
-}
-
-Aa::Aa(const Aa& other)
-    : data_(other.data_),
-      options_(other.options_),
-      rng_(other.rng_),
-      input_dim_(other.input_dim_),
-      agent_(other.agent_),
-      episodes_trained_(other.episodes_trained_) {}
-
-std::shared_ptr<const nn::ModelSnapshot> Aa::ServingModel() {
-  // The fingerprint check also catches out-of-band mutation through
-  // agent(): a stale snapshot would silently serve old weights.
-  if (live_model_ == nullptr ||
-      !live_model_->SameWeights(agent_.main_network())) {
-    live_model_ =
-        std::make_shared<const nn::ModelSnapshot>(0, agent_.main_network());
-  }
-  return live_model_;
 }
 
 double Aa::StopDistance() const {
@@ -174,7 +152,7 @@ TrainStats Aa::Train(const std::vector<Vec>& training_utilities) {
                           : static_cast<double>(total_rounds) /
                                 static_cast<double>(training_utilities.size());
   stats.final_loss = last_loss;
-  live_model_.reset();  // weights changed; the next session re-snapshots
+  RefreshServingModel();
   return stats;
 }
 
@@ -193,7 +171,7 @@ class Aa::Session final : public InteractionSession {
         deadline_(Deadline::FromBudget(config.budget)),
         owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
                                : std::nullopt) {
-    model_ = config.model != nullptr ? config.model : owner.ServingModel();
+    model_ = owner.ModelFor(config);
     geo_ = ComputeAaGeometry(owner_.data_.dim(), h_, max_lp_);
     if (!geo_.feasible) {
       // The empty-H geometry is the unit simplex itself; failure means the
@@ -322,9 +300,7 @@ class Aa::Session final : public InteractionSession {
     TakePick(pick);
   }
 
-  uint64_t ModelVersion() const override {
-    return model_ == nullptr ? 0 : model_->version();
-  }
+  uint64_t ModelVersion() const override { return model_->version(); }
 
   std::optional<Vec> HarvestUtility() const override {
     if (!geo_.feasible) return std::nullopt;
@@ -397,30 +373,11 @@ class Aa::Session final : public InteractionSession {
     }
     const uint64_t fingerprint = r.U64();
     const uint64_t model_version = r.U64();
-    // Re-pin the exact model the session was saved under: the restore-time
-    // provider by version, else the caller's explicit pin, else this
-    // instance's live model — always verified against the §14 fingerprint.
-    std::shared_ptr<const nn::ModelSnapshot> model;
-    if (!r.failed()) {
-      if (config.models != nullptr) {
-        model = config.models->Pin(model_version);
-        if (model == nullptr && config.model == nullptr) {
-          return Status::FailedPrecondition(Format(
-              "AA snapshot is pinned to model version %llu, which the "
-              "restore-time model provider does not serve",
-              static_cast<unsigned long long>(model_version)));
-        }
-      }
-      if (model == nullptr) model = config.model;
-      if (model == nullptr) model = owner_.ServingModel();
-      if (fingerprint != model->fingerprint()) {
-        return Status::FailedPrecondition(Format(
-            "AA snapshot is bound to Q-network %016llx but this instance "
-            "serves %016llx (retrained or different model)",
-            static_cast<unsigned long long>(fingerprint),
-            static_cast<unsigned long long>(model->fingerprint())));
-      }
-    }
+    ISRL_RETURN_IF_ERROR(r.status());
+    ISRL_ASSIGN_OR_RETURN(
+        std::shared_ptr<const nn::ModelSnapshot> model,
+        snapshot::RepinModel(owner_.name(), fingerprint, model_version, config,
+                             owner_.ServingModel()));
     const size_t n = owner_.data_.size();
     const size_t d = owner_.data_.dim();
     const uint64_t max_lp = r.U64();
@@ -616,10 +573,9 @@ std::unique_ptr<InteractionSession> Aa::StartSession(
     const SessionConfig& config) {
   // Audit at the inference call site (see Ea::StartSession).
   if (audit::ShouldCheck(audit::Checker::kNnFinite)) {
-    nn::Network& network = config.model != nullptr ? config.model->network()
-                                                   : agent_.main_network();
-    audit::Auditor().Record(audit::Checker::kNnFinite, "Aa.StartSession",
-                            audit::CheckNetworkFinite(network, "main"));
+    audit::Auditor().Record(
+        audit::Checker::kNnFinite, "Aa.StartSession",
+        audit::CheckNetworkFinite(ModelFor(config)->network(), "main"));
   }
   return std::make_unique<Session>(*this, config);
 }
@@ -633,28 +589,6 @@ Result<std::unique_ptr<InteractionSession>> Aa::RestoreSession(
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
   ISRL_RETURN_IF_ERROR(session->Decode(payload, config));
   return std::unique_ptr<InteractionSession>(std::move(session));
-}
-
-Status Aa::SaveAgent(const std::string& path) {
-  return nn::SaveNetwork(agent_.main_network(), path);
-}
-
-Status Aa::LoadAgent(const std::string& path) {
-  ISRL_ASSIGN_OR_RETURN(nn::Network loaded, nn::LoadNetwork(path));
-  std::vector<nn::ParamBlock> theirs = loaded.Params();
-  std::vector<nn::ParamBlock> mine = agent_.main_network().Params();
-  if (theirs.size() != mine.size()) {
-    return Status::InvalidArgument("network architecture mismatch");
-  }
-  for (size_t i = 0; i < mine.size(); ++i) {
-    if (mine[i].values->size() != theirs[i].values->size()) {
-      return Status::InvalidArgument("network layer shape mismatch");
-    }
-  }
-  agent_.main_network().CopyParamsFrom(loaded);
-  agent_.SyncTarget();
-  live_model_.reset();  // weights changed; the next session re-snapshots
-  return Status::Ok();
 }
 
 }  // namespace isrl

@@ -22,8 +22,8 @@
 #include "core/aa_state.h"
 #include "core/algorithm.h"
 #include "core/ea.h"
+#include "core/rl_algorithm.h"
 #include "data/dataset.h"
-#include "nn/registry.h"
 #include "rl/dqn.h"
 
 namespace isrl {
@@ -40,13 +40,9 @@ struct AaOptions {
 };
 
 /// The AA interactive algorithm bound to a (normalised, skyline) dataset.
-class Aa : public InteractiveAlgorithm {
+class Aa : public RlAlgorithm {
  public:
   Aa(const Dataset& data, const AaOptions& options);
-
-  /// Explicit copy (CloneForEval): same dataset binding and weights, but
-  /// the live serving snapshot is NOT shared (see Ea's copy constructor).
-  Aa(const Aa& other);
 
   /// Algorithm 3: one ε-greedy training episode per utility vector.
   TrainStats Train(const std::vector<Vec>& training_utilities);
@@ -58,27 +54,10 @@ class Aa : public InteractiveAlgorithm {
     return std::make_unique<Aa>(*this);
   }
 
-  /// Reseeds the action-sampling Rng (per-user derived seed during
-  /// evaluation; see core/session.cc).
-  void Reseed(uint64_t seed) override { rng_ = Rng(seed); }
-
-  rl::DqnAgent& agent() { return agent_; }
   const AaOptions& options() const { return options_; }
-  size_t input_dim() const { return input_dim_; }
   /// Number of scalar geometric descriptors appended to each action's
   /// features (balance, alignment, centre distance).
   static constexpr size_t kActionDescriptors = 3;
-
-  /// The live serving snapshot of this instance's Q-network (version 0 —
-  /// unregistered; see Ea::ServingModel). Sessions started without an
-  /// explicit SessionConfig::model pin this snapshot (DESIGN.md §18).
-  std::shared_ptr<const nn::ModelSnapshot> ServingModel();
-
-  /// Persists the trained Q-network (extension; DESIGN.md §7).
-  Status SaveAgent(const std::string& path);
-  /// Restores a Q-network saved by SaveAgent; the target network is
-  /// synchronised to it.
-  Status LoadAgent(const std::string& path);
 
   /// The stopping bound 2√d·ε for this instance.
   double StopDistance() const;
@@ -113,12 +92,6 @@ class Aa : public InteractiveAlgorithm {
 
   const Dataset& data_;
   AaOptions options_;
-  Rng rng_;
-  size_t input_dim_;
-  rl::DqnAgent agent_;
-  size_t episodes_trained_ = 0;
-  /// Lazily built by ServingModel(); reset whenever the weights change.
-  std::shared_ptr<const nn::ModelSnapshot> live_model_;
 };
 
 }  // namespace isrl

@@ -126,14 +126,15 @@ struct SessionConfig {
   std::optional<uint64_t> seed;
   /// The immutable model snapshot this session scores through, pinned for
   /// the whole episode (nn/registry.h, DESIGN.md §18). RL algorithms fall
-  /// back to their live serving snapshot when unset; either way a later
+  /// back to their instance's serving snapshot when unset; either way a later
   /// ModelRegistry::Publish never changes what an in-flight session
   /// computes. Ignored by model-free baselines.
   std::shared_ptr<const nn::ModelSnapshot> model;
-  /// Restore-time model resolver (RestoreSession only): maps the model
+  /// Restore-time model resolver (RestoreSession only): maps the registry
   /// version recorded in a session snapshot back to a pinned snapshot.
-  /// When null, restore pins `model` if set, else the algorithm's live
-  /// serving snapshot — always subject to the §14 fingerprint check.
+  /// When null, restore pins `model` if set, else the algorithm instance's
+  /// serving snapshot — always subject to the §14 fingerprint check. A
+  /// version-0 (unpinned) session always re-pins the instance's snapshot.
   nn::ModelProvider* models = nullptr;
 };
 
@@ -207,8 +208,8 @@ class InteractionSession {
   // ---- Continuous-learning hooks (optional; DESIGN.md §18). --------------
 
   /// Version of the model snapshot driving this session: what the session
-  /// pinned at start (0 for an unregistered live model and for model-free
-  /// baselines). Recorded in harvest records and the sharded manifest.
+  /// pinned at start (0 for the algorithm instance's own serving snapshot
+  /// and for model-free baselines). Recorded in harvest records.
   virtual uint64_t ModelVersion() const { return 0; }
 
   /// A point estimate of the user's utility vector as learned by this
@@ -226,10 +227,8 @@ class InteractionSession {
   /// identically: same questions, same Rng draw order, same Termination.
   /// Q-network weights are NOT embedded — RL snapshots carry the pinned
   /// model's version and fingerprint, and restore re-pins that exact model
-  /// (SessionConfig::models / config.model, falling back to the algorithm
-  /// instance's live network). Callable in any state, including mid-question
-  /// and after
-  /// termination. Default: Unimplemented (a session type without
+  /// (snapshot::RepinModel). Callable in any state, including mid-question
+  /// and after termination. Default: Unimplemented (a session type without
   /// durability support degrades to a Status, never a crash).
   virtual Result<std::string> SaveState() const {
     return Status::Unimplemented("session checkpointing not supported");
@@ -279,13 +278,13 @@ class InteractiveAlgorithm {
   /// `config.model` are honoured — budget caps, the remaining deadline, and
   /// the Rng state all come from the snapshot, so the restored episode
   /// continues bit-identically to one that never stopped. RL sessions
-  /// re-pin the model version recorded in the snapshot through
-  /// `config.models` (else `config.model`, else the instance's live model)
-  /// and verify its §14 fingerprint. Every failure mode — wrong algorithm
-  /// kind, truncated or
-  /// corrupted frames, version skew, non-finite payloads, dataset or
-  /// Q-network mismatch — returns a descriptive Status; restore never
-  /// crashes. Default: Unimplemented.
+  /// re-pin the model recorded in the snapshot: version 0 (unpinned) is
+  /// this instance's serving snapshot; a registry version resolves through
+  /// `config.models`, else `config.model`, else the instance's snapshot.
+  /// Either way the §14 fingerprint is verified. Every failure mode — wrong
+  /// algorithm kind, truncated or corrupted frames, version skew, non-finite
+  /// payloads, dataset or Q-network mismatch — returns a descriptive
+  /// Status; restore never crashes. Default: Unimplemented.
   virtual Result<std::unique_ptr<InteractionSession>> RestoreSession(
       const std::string& bytes, const SessionConfig& config) {
     (void)bytes;

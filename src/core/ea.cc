@@ -1,14 +1,11 @@
 #include "core/ea.h"
 
-#include "nn/serialize.h"
-
 #include <algorithm>
 #include <optional>
 
 #include "audit/audit.h"
 #include "audit/checkers.h"
 #include "common/stopwatch.h"
-#include "common/strings.h"
 #include "core/snapshot.h"
 #include "core/terminal.h"
 #include "geometry/halfspace.h"
@@ -22,34 +19,15 @@ constexpr uint32_t kEaSnapshotVersion = 2;
 }  // namespace
 
 Ea::Ea(const Dataset& data, const EaOptions& options)
-    : data_(data),
-      options_(options),
-      rng_(options.seed),
-      input_dim_(EaStateDim(data.dim(), options.state) + 3 * data.dim() +
-                 kActionDescriptors),
-      agent_(input_dim_, options.dqn, rng_) {
+    : RlAlgorithm(options.seed,
+                  EaStateDim(data.dim(), options.state) + 3 * data.dim() +
+                      kActionDescriptors,
+                  options.dqn),
+      data_(data),
+      options_(options) {
   ISRL_CHECK(!data.empty());
   ISRL_CHECK_GT(options.epsilon, 0.0);
   ISRL_CHECK_LT(options.epsilon, 1.0);
-}
-
-Ea::Ea(const Ea& other)
-    : data_(other.data_),
-      options_(other.options_),
-      rng_(other.rng_),
-      input_dim_(other.input_dim_),
-      agent_(other.agent_),
-      episodes_trained_(other.episodes_trained_) {}
-
-std::shared_ptr<const nn::ModelSnapshot> Ea::ServingModel() {
-  // The fingerprint check also catches out-of-band mutation through
-  // agent(): a stale snapshot would silently serve old weights.
-  if (live_model_ == nullptr ||
-      !live_model_->SameWeights(agent_.main_network())) {
-    live_model_ =
-        std::make_shared<const nn::ModelSnapshot>(0, agent_.main_network());
-  }
-  return live_model_;
 }
 
 Ea::RoundPlan Ea::PlanRound(const Polyhedron& range, Rng& rng) {
@@ -182,7 +160,7 @@ TrainStats Ea::Train(const std::vector<Vec>& training_utilities) {
                           : static_cast<double>(total_rounds) /
                                 static_cast<double>(training_utilities.size());
   stats.final_loss = last_loss;
-  live_model_.reset();  // weights changed; the next session re-snapshots
+  RefreshServingModel();
   return stats;
 }
 
@@ -203,7 +181,7 @@ class Ea::Session final : public InteractionSession {
         owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
                                : std::nullopt),
         range_(Polyhedron::UnitSimplex(owner.data_.dim())) {
-    model_ = config.model != nullptr ? config.model : owner.ServingModel();
+    model_ = owner.ModelFor(config);
     plan_ = owner_.PlanRound(range_, rng());
     state_ = EncodeEaState(range_, owner_.options_.state);
     fallback_best_ = owner_.data_.TopIndex(range_.Centroid());
@@ -301,9 +279,7 @@ class Ea::Session final : public InteractionSession {
     TakePick(pick);
   }
 
-  uint64_t ModelVersion() const override {
-    return model_ == nullptr ? 0 : model_->version();
-  }
+  uint64_t ModelVersion() const override { return model_->version(); }
 
   std::optional<Vec> HarvestUtility() const override {
     if (range_.IsEmpty()) return std::nullopt;
@@ -343,7 +319,7 @@ class Ea::Session final : public InteractionSession {
     core.trace = trace_;  // figure vectors ride along (may be null)
     snapshot::EncodeSessionCore(core, &w);
     // Model identity, not model weights: the pinned snapshot's §14
-    // fingerprint plus its registry version (0 = unregistered live model);
+    // fingerprint plus its registry version (0 = the instance's own model);
     // weights are persisted separately (nn/serialize, nn/registry).
     w.U64(model_->fingerprint());
     w.U64(model_->version());
@@ -376,30 +352,11 @@ class Ea::Session final : public InteractionSession {
     }
     const uint64_t fingerprint = r.U64();
     const uint64_t model_version = r.U64();
-    // Re-pin the exact model the session was saved under: the restore-time
-    // provider by version, else the caller's explicit pin, else this
-    // instance's live model — always verified against the §14 fingerprint.
-    std::shared_ptr<const nn::ModelSnapshot> model;
-    if (!r.failed()) {
-      if (config.models != nullptr) {
-        model = config.models->Pin(model_version);
-        if (model == nullptr && config.model == nullptr) {
-          return Status::FailedPrecondition(Format(
-              "EA snapshot is pinned to model version %llu, which the "
-              "restore-time model provider does not serve",
-              static_cast<unsigned long long>(model_version)));
-        }
-      }
-      if (model == nullptr) model = config.model;
-      if (model == nullptr) model = owner_.ServingModel();
-      if (fingerprint != model->fingerprint()) {
-        return Status::FailedPrecondition(Format(
-            "EA snapshot is bound to Q-network %016llx but this instance "
-            "serves %016llx (retrained or different model)",
-            static_cast<unsigned long long>(fingerprint),
-            static_cast<unsigned long long>(model->fingerprint())));
-      }
-    }
+    ISRL_RETURN_IF_ERROR(r.status());
+    ISRL_ASSIGN_OR_RETURN(
+        std::shared_ptr<const nn::ModelSnapshot> model,
+        snapshot::RepinModel(owner_.name(), fingerprint, model_version, config,
+                             owner_.ServingModel()));
     Result<Polyhedron> range = snapshot::DecodePolyhedron(&r);
     ISRL_RETURN_IF_ERROR(range.status());
     const size_t n = owner_.data_.size();
@@ -576,10 +533,9 @@ std::unique_ptr<InteractionSession> Ea::StartSession(
   // Q-network asks arbitrary questions yet terminates "normally". Check the
   // network the session will actually score through.
   if (audit::ShouldCheck(audit::Checker::kNnFinite)) {
-    nn::Network& network = config.model != nullptr ? config.model->network()
-                                                   : agent_.main_network();
-    audit::Auditor().Record(audit::Checker::kNnFinite, "Ea.StartSession",
-                            audit::CheckNetworkFinite(network, "main"));
+    audit::Auditor().Record(
+        audit::Checker::kNnFinite, "Ea.StartSession",
+        audit::CheckNetworkFinite(ModelFor(config)->network(), "main"));
   }
   return std::make_unique<Session>(*this, config);
 }
@@ -593,28 +549,6 @@ Result<std::unique_ptr<InteractionSession>> Ea::RestoreSession(
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
   ISRL_RETURN_IF_ERROR(session->Decode(payload, config));
   return std::unique_ptr<InteractionSession>(std::move(session));
-}
-
-Status Ea::SaveAgent(const std::string& path) {
-  return nn::SaveNetwork(agent_.main_network(), path);
-}
-
-Status Ea::LoadAgent(const std::string& path) {
-  ISRL_ASSIGN_OR_RETURN(nn::Network loaded, nn::LoadNetwork(path));
-  std::vector<nn::ParamBlock> theirs = loaded.Params();
-  std::vector<nn::ParamBlock> mine = agent_.main_network().Params();
-  if (theirs.size() != mine.size()) {
-    return Status::InvalidArgument("network architecture mismatch");
-  }
-  for (size_t i = 0; i < mine.size(); ++i) {
-    if (mine[i].values->size() != theirs[i].values->size()) {
-      return Status::InvalidArgument("network layer shape mismatch");
-    }
-  }
-  agent_.main_network().CopyParamsFrom(loaded);
-  agent_.SyncTarget();
-  live_model_.reset();  // weights changed; the next session re-snapshots
-  return Status::Ok();
 }
 
 }  // namespace isrl

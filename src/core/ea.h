@@ -19,8 +19,8 @@
 #include "core/algorithm.h"
 #include "core/ea_actions.h"
 #include "core/ea_state.h"
+#include "core/rl_algorithm.h"
 #include "data/dataset.h"
-#include "nn/registry.h"
 #include "rl/dqn.h"
 
 namespace isrl {
@@ -45,15 +45,9 @@ struct TrainStats {
 };
 
 /// The EA interactive algorithm bound to a (normalised, skyline) dataset.
-class Ea : public InteractiveAlgorithm {
+class Ea : public RlAlgorithm {
  public:
   Ea(const Dataset& data, const EaOptions& options);
-
-  /// Explicit copy (CloneForEval): same dataset binding, same Q-network
-  /// weights (Adam moments reset), but the live serving snapshot is
-  /// deliberately NOT shared — each clone lazily builds its own, so model
-  /// inference scratch is never shared across evaluation threads.
-  Ea(const Ea& other);
 
   /// Algorithm 1: one ε-greedy training episode per utility vector.
   TrainStats Train(const std::vector<Vec>& training_utilities);
@@ -67,32 +61,10 @@ class Ea : public InteractiveAlgorithm {
     return std::make_unique<Ea>(*this);
   }
 
-  /// Reseeds the action-sampling Rng (per-user derived seed during
-  /// evaluation; see core/session.cc).
-  void Reseed(uint64_t seed) override { rng_ = Rng(seed); }
-
-  rl::DqnAgent& agent() { return agent_; }
   const EaOptions& options() const { return options_; }
-  /// Featurised (state, action) input dimension of the Q-network.
-  size_t input_dim() const { return input_dim_; }
   /// Number of scalar geometric descriptors appended to each action's
   /// features (balance, centroid distance).
   static constexpr size_t kActionDescriptors = 2;
-
-  /// The live serving snapshot of this instance's Q-network (version 0 —
-  /// unregistered), built lazily and refreshed whenever the weights change
-  /// (Train, LoadAgent, or direct agent() mutation, caught by a fingerprint
-  /// check). Sessions started without an explicit SessionConfig::model pin
-  /// this snapshot, so retraining never affects an in-flight episode
-  /// (DESIGN.md §18).
-  std::shared_ptr<const nn::ModelSnapshot> ServingModel();
-
-  /// Persists the trained Q-network so a later process can skip Train()
-  /// (extension; DESIGN.md §7).
-  Status SaveAgent(const std::string& path);
-  /// Restores a Q-network saved by SaveAgent (architecture must match this
-  /// instance's input_dim); the target network is synchronised to it.
-  Status LoadAgent(const std::string& path);
 
   /// Algorithm 2 as a resumable sans-IO session (DESIGN.md §13), hardened —
   /// conflicting (noisy) answers are dropped most-recent-first instead of
@@ -133,12 +105,6 @@ class Ea : public InteractiveAlgorithm {
 
   const Dataset& data_;
   EaOptions options_;
-  Rng rng_;
-  size_t input_dim_;
-  rl::DqnAgent agent_;
-  size_t episodes_trained_ = 0;
-  /// Lazily built by ServingModel(); reset whenever the weights change.
-  std::shared_ptr<const nn::ModelSnapshot> live_model_;
 };
 
 }  // namespace isrl

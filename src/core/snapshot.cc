@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "nn/registry.h"
 
 namespace isrl::snapshot {
 
@@ -646,6 +647,34 @@ Status ValidateSessionCore(const SessionCore& core,
         static_cast<unsigned long long>(data_dim)));
   }
   return Status::Ok();
+}
+
+Result<std::shared_ptr<const nn::ModelSnapshot>> RepinModel(
+    const std::string& algorithm_name, uint64_t fingerprint, uint64_t version,
+    const SessionConfig& config,
+    std::shared_ptr<const nn::ModelSnapshot> instance) {
+  std::shared_ptr<const nn::ModelSnapshot> model;
+  if (version != 0) {
+    if (config.models != nullptr) {
+      model = config.models->Pin(version);
+      if (model == nullptr && config.model == nullptr) {
+        return Status::FailedPrecondition(Format(
+            "%s snapshot is pinned to model version %llu, which the "
+            "restore-time model provider does not serve",
+            algorithm_name.c_str(), static_cast<unsigned long long>(version)));
+      }
+    }
+    if (model == nullptr) model = config.model;
+  }
+  if (model == nullptr) model = std::move(instance);
+  if (fingerprint != model->fingerprint()) {
+    return Status::FailedPrecondition(Format(
+        "%s snapshot is bound to Q-network %016llx but this instance "
+        "serves %016llx (retrained or different model)",
+        algorithm_name.c_str(), static_cast<unsigned long long>(fingerprint),
+        static_cast<unsigned long long>(model->fingerprint())));
+  }
+  return model;
 }
 
 // ---- Files. ---------------------------------------------------------------

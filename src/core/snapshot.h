@@ -25,6 +25,7 @@
 #define ISRL_CORE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,17 @@ Status DecodeSessionCore(Reader* r, SessionCore* out);
 Status ValidateSessionCore(const SessionCore& core,
                            const std::string& algorithm_name,
                            size_t data_size, size_t data_dim);
+
+/// Re-pins the model an RL session snapshot was saved under (DESIGN.md
+/// §18). Version 0 is the restoring instance's own serving model
+/// (`instance`); a registry version resolves through `config.models`, then
+/// `config.model`, then `instance`. FailedPrecondition when the provider
+/// does not serve the version and no explicit model is given, or when the
+/// resolved model's §14 fingerprint differs from the saved one.
+Result<std::shared_ptr<const nn::ModelSnapshot>> RepinModel(
+    const std::string& algorithm_name, uint64_t fingerprint, uint64_t version,
+    const SessionConfig& config,
+    std::shared_ptr<const nn::ModelSnapshot> instance);
 
 // ---- Multi-frame scan. ----------------------------------------------------
 

@@ -24,10 +24,6 @@ Vec ModelSnapshot::Score(const Matrix& candidate_features) const {
   return network_.PredictBatch(candidate_features);
 }
 
-bool ModelSnapshot::SameWeights(const Network& other) const {
-  return NetworkFingerprint(other) == fingerprint_;
-}
-
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Replicate() const {
   return std::make_shared<const ModelSnapshot>(version_, network_);
 }

@@ -37,9 +37,10 @@ namespace isrl::nn {
 /// across concurrent scorers.
 class ModelSnapshot {
  public:
-  /// Copies `weights` and fingerprints the copy. Version 0 is reserved for
-  /// an algorithm's unregistered live model (Ea/Aa::ServingModel);
-  /// registry-published snapshots start at 1.
+  /// Copies `weights` and fingerprints the copy. Version 0 marks an
+  /// algorithm instance's own serving snapshot (Ea/Aa::ServingModel, rebuilt
+  /// whenever the instance changes its weights); registry-published
+  /// snapshots start at 1.
   ModelSnapshot(uint64_t version, const Network& weights);
 
   uint64_t version() const { return version_; }
@@ -50,10 +51,6 @@ class ModelSnapshot {
   /// Q-values of row-stacked candidate features, one per row. Bit-identical
   /// to scoring through the network the snapshot was published from.
   Vec Score(const Matrix& candidate_features) const;
-
-  /// True when `other` holds exactly the same parameter values (used to
-  /// detect a stale live snapshot after out-of-band weight mutation).
-  bool SameWeights(const Network& other) const;
 
   /// A fresh snapshot with the same version, fingerprint, and weights but
   /// its own inference scratch — one per thread/shard for concurrent Score.

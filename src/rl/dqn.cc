@@ -292,4 +292,21 @@ double DqnAgent::Update(Rng& rng) {
 
 void DqnAgent::SyncTarget() { target_.CopyParamsFrom(main_); }
 
+Status DqnAgent::SetWeights(const nn::Network& weights) {
+  nn::Network source = weights.Clone();  // Params() needs a mutable network
+  std::vector<nn::ParamBlock> theirs = source.Params();
+  std::vector<nn::ParamBlock> mine = main_.Params();
+  if (theirs.size() != mine.size()) {
+    return Status::InvalidArgument("network architecture mismatch");
+  }
+  for (size_t i = 0; i < mine.size(); ++i) {
+    if (mine[i].values->size() != theirs[i].values->size()) {
+      return Status::InvalidArgument("network layer shape mismatch");
+    }
+  }
+  main_.CopyParamsFrom(source);
+  SyncTarget();
+  return Status::Ok();
+}
+
 }  // namespace isrl::rl

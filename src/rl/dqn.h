@@ -14,6 +14,7 @@
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/vec.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
@@ -119,12 +120,18 @@ class DqnAgent {
   /// Forces Θ' ← Θ (also done automatically every target_sync_every updates).
   void SyncTarget();
 
+  /// Installs `weights` as Θ, then syncs Θ'. InvalidArgument (and no change)
+  /// when their architecture differs from this agent's network.
+  Status SetWeights(const nn::Network& weights);
+
   size_t num_updates() const { return num_updates_; }
   const DqnOptions& options() const { return options_; }
   nn::Network& main_network() { return main_; }
+  const nn::Network& main_network() const { return main_; }
   nn::Network& target_network() { return target_; }
   /// Uniform replay buffer (tracks size even when PER is enabled).
   ReplayMemory& replay() { return replay_; }
+  const ReplayMemory& replay() const { return replay_; }
   PrioritizedReplayMemory& prioritized_replay() { return prioritized_; }
   size_t input_dim() const { return input_dim_; }
 

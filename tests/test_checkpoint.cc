@@ -138,13 +138,14 @@ struct Roster {
   }
 };
 
-/// Moves one Q-network weight so the fingerprint diverges from any snapshot
-/// taken earlier. (Train() only touches weights once the replay buffer
-/// reaches min_replay_before_update, so a short real training pass is not a
-/// reliable way to change the model.)
-void PerturbNetwork(rl::DqnAgent& agent) {
-  auto& first = static_cast<nn::Linear&>(agent.main_network().layer(0));
-  first.weights()[0] += 0.25;
+/// Installs a copy of the Q-network with one weight moved (SetWeights), so
+/// the fingerprint diverges from any snapshot taken earlier. (Train() only
+/// touches weights once the replay buffer reaches min_replay_before_update,
+/// so a short real training pass is not a reliable way to change the model.)
+void PerturbNetwork(Ea& ea) {
+  nn::Network perturbed = ea.agent().main_network().Clone();
+  static_cast<nn::Linear&>(perturbed.layer(0)).weights()[0] += 0.25;
+  ASSERT_TRUE(ea.SetWeights(perturbed).ok());
 }
 
 /// SaveState() + RestoreSession(): the session comes back as a new object.
@@ -541,7 +542,7 @@ TEST(SchedulerDurabilityTest, RetrainedNetworkDegradesOnlyThatSlot) {
   // fingerprint no longer matches the snapshot. (A weight nudge stands in
   // for a full Train() pass, which only touches weights once the replay
   // buffer reaches min_replay_before_update.)
-  PerturbNetwork(roster.ea.agent());
+  PerturbNetwork(roster.ea);
 
   Result<SessionScheduler> restored =
       SessionScheduler::RestoreAll(*snapshot, roster.Resolver());
@@ -753,7 +754,7 @@ TEST(CorruptionTest, RetrainedModelIsRejectedAtSessionLevel) {
   ASSERT_TRUE(bytes.ok());
   session->Cancel();
 
-  PerturbNetwork(roster.ea.agent());
+  PerturbNetwork(roster.ea);
   Result<std::unique_ptr<InteractionSession>> restored =
       roster.ea.RestoreSession(*bytes, config);
   ASSERT_FALSE(restored.ok());

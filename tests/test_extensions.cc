@@ -200,9 +200,9 @@ TEST(PersistenceTest, EaSaveLoadReproducesBehaviour) {
   Ea restored(sky, opt);  // same seed ⇒ same action sampling stream
   ASSERT_TRUE(restored.LoadAgent(path).ok());
   // The loaded Q-network matches the trained one on arbitrary inputs.
-  Vec probe(trained.input_dim(), 0.1);
-  EXPECT_NEAR(trained.agent().QValue(probe), restored.agent().QValue(probe),
-              1e-12);
+  const Matrix probe = Matrix::FromRows({Vec(trained.input_dim(), 0.1)});
+  EXPECT_NEAR(trained.ServingModel()->Score(probe)[0],
+              restored.ServingModel()->Score(probe)[0], 1e-12);
   // And the restored agent still honours the exact guarantee.
   LinearUser user(Vec{0.2, 0.5, 0.3});
   InteractionResult r = restored.Interact(user);
@@ -220,9 +220,9 @@ TEST(PersistenceTest, AaSaveLoadRoundTrip) {
   ASSERT_TRUE(trained.SaveAgent(path).ok());
   Aa restored(sky, opt);
   ASSERT_TRUE(restored.LoadAgent(path).ok());
-  Vec probe(trained.input_dim(), 0.05);
-  EXPECT_NEAR(trained.agent().QValue(probe), restored.agent().QValue(probe),
-              1e-12);
+  const Matrix probe = Matrix::FromRows({Vec(trained.input_dim(), 0.05)});
+  EXPECT_NEAR(trained.ServingModel()->Score(probe)[0],
+              restored.ServingModel()->Score(probe)[0], 1e-12);
 }
 
 TEST(PersistenceTest, LoadRejectsWrongArchitecture) {

@@ -6,9 +6,12 @@
 // restore, crash and recovery; against the sharded engine also Stop/Start
 // and durable Recover points — while checking the delivery contract on the
 // way: a question is emitted once, plus exactly once per restore, recovery
-// or Start() while it is in flight. Every run must end bit-identical to
-// sequential Interact() (stepped sessions for cancelled users), and every
-// misuse must come back as the documented Status code.
+// or Start() while it is in flight. Model registry publishes land between
+// operations: EA/AA admissions alternate between unpinned and pinned to the
+// newest version, and every restore and recovery re-pins through the
+// registry (or a per-shard replica cache). Every run must end bit-identical
+// to sequential Interact() (stepped sessions for cancelled users and pinned
+// sessions), and every misuse must come back as the documented Status code.
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -34,6 +37,8 @@
 #include "core/scheduler.h"
 #include "data/skyline.h"
 #include "data/synthetic.h"
+#include "nn/layer.h"
+#include "nn/registry.h"
 #include "serve/sharding.h"
 #include "user/user.h"
 
@@ -95,6 +100,44 @@ struct Roster {
     Options o;
     o.epsilon = 0.1;
     return o;
+  }
+};
+
+/// The registry a run pins its RL sessions to. Publish() adds a perturbed
+/// copy of the EA or AA instance's weights; the instances themselves never
+/// change, so unpinned sessions keep scoring with their version-0 snapshots.
+struct Models {
+  nn::ModelRegistry registry;
+  uint64_t latest[2] = {0, 0};  ///< newest version per RL slot (EA, AA)
+  size_t rl_admissions = 0;
+
+  Models(Roster& roster, Rng& rng) {
+    Publish(roster, rng, 0);
+    Publish(roster, rng, 1);
+  }
+
+  /// Publishes a new version of EA's or AA's network, picked at random.
+  void Publish(Roster& roster, Rng& rng) {
+    Publish(roster, rng, rng.Bernoulli(0.5) ? 1 : 0);
+  }
+
+  void Publish(Roster& roster, Rng& rng, size_t algo) {
+    const rl::DqnAgent& agent =
+        algo == 0 ? roster.ea.agent() : roster.aa.agent();
+    nn::Network weights = agent.main_network().Clone();
+    std::vector<double>& w =
+        static_cast<nn::Linear&>(weights.layer(0)).weights();
+    const int64_t last = static_cast<int64_t>(w.size()) - 1;
+    w[static_cast<size_t>(rng.UniformInt(0, last))] += rng.Uniform(-0.5, 0.5);
+    latest[algo] = registry.Publish(weights);
+  }
+
+  /// EA/AA admissions alternate between unpinned and pinned to the newest
+  /// version of their network; baselines carry no model.
+  void Admit(size_t algo, SessionConfig* config) {
+    if (algo < 2 && rl_admissions++ % 2 == 1) {
+      config->model = registry.Pin(latest[algo]);
+    }
   }
 };
 
@@ -163,23 +206,26 @@ struct Population {
     return users[id]->Ask(question.first, question.second);
   }
 
-  /// Sequential reference: Interact() for a user who answered everything;
-  /// for a cancelled one, a session stepped through the same answers and
-  /// cancelled where the user walked away.
+  /// Sequential reference: Interact() for an unpinned user who answered
+  /// everything; otherwise a session with the same config stepped through
+  /// the same answers — to the end for a pinned one, and cancelled where a
+  /// cancelled user walked away.
   InteractionResult Reference(Roster& roster, size_t id) {
     InteractiveAlgorithm& owner = *roster.all()[algo[id]];
-    if (!cancelled[id]) {
+    if (!cancelled[id] && configs[id].model == nullptr) {
       owner.Reseed(*configs[id].seed);
       return owner.Interact(*users[id], configs[id].budget);
     }
     std::unique_ptr<InteractionSession> session = owner.StartSession(configs[id]);
-    for (size_t k = 0; k < answers[id]; ++k) {
+    for (size_t k = 0; !cancelled[id] || k < answers[id]; ++k) {
       std::optional<SessionQuestion> q = session->NextQuestion();
       if (!q.has_value()) break;
       session->PostAnswer(users[id]->Ask(q->first, q->second));
     }
-    (void)session->NextQuestion();
-    session->Cancel();
+    if (cancelled[id]) {
+      (void)session->NextQuestion();
+      session->Cancel();
+    }
     InteractionResult result = session->Finish();
     result.converged = result.termination == Termination::kConverged;
     return result;
@@ -190,8 +236,8 @@ struct Population {
 
 /// The test's view of one SessionScheduler slot.
 struct Slot {
-  enum State { kRunnable, kAwaiting, kReissue, kFinished, kTaken };
-  State state = kRunnable;
+  enum State { kPending, kRunnable, kAwaiting, kReissue, kFinished, kTaken };
+  State state = kPending;  ///< not admitted yet
   SessionQuestion question;  ///< out with the user (kAwaiting, kReissue)
   std::optional<InteractionResult> taken;
   bool taken_durably = false;  ///< taken before the current WAL epoch
@@ -202,15 +248,16 @@ class SchedulerRun {
   SchedulerRun(Roster& roster, uint64_t seed)
       : roster_(roster),
         rng_(seed),
+        models_(roster, rng_),
         population_(rng_, 4 + static_cast<size_t>(rng_.UniformInt(0, 8)), seed),
         slots_(population_.configs.size()) {
     // Trickle (a few percent of the waiting users answer per tick) up to
     // lock-step (every one does).
     answer_p_ = rng_.Bernoulli(0.25) ? 1.0 : rng_.Uniform(0.05, 0.8);
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      InteractiveAlgorithm* owner = roster_.all()[population_.algo[i]];
-      scheduler_.Add(owner->StartSession(population_.configs[i]), owner);
-    }
+    // Some sessions are admitted later, after registry publishes.
+    const size_t initial = 1 + static_cast<size_t>(rng_.UniformInt(
+                                   0, static_cast<int64_t>(slots_.size()) - 1));
+    while (admitted_ < initial) Admit();
     NewEpoch();
   }
 
@@ -222,13 +269,20 @@ class SchedulerRun {
       Misuse();
       AnswerSome();
       if (::testing::Test::HasFailure()) return;
+      if (rng_.Bernoulli(0.2)) {
+        models_.Publish(roster_, rng_);
+      }
+      if (admitted_ < slots_.size() && rng_.Bernoulli(0.3)) {
+        Admit();
+        NewEpoch();  // the WAL does not log admissions
+      }
       if (rng_.Bernoulli(0.05)) {
         // Checkpoint and restore in place: the restored scheduler re-asks
         // every question that is out.
         Result<std::string> bytes = scheduler_.CheckpointAll();
         ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-        Result<SessionScheduler> restored =
-            SessionScheduler::RestoreAll(*bytes, Resolver());
+        Result<SessionScheduler> restored = SessionScheduler::RestoreAll(
+            *bytes, Resolver(), &models_.registry);
         ASSERT_TRUE(restored.ok()) << restored.status().ToString();
         scheduler_ = std::move(*restored);
         ExpectReissue();
@@ -259,6 +313,17 @@ class SchedulerRun {
       live += slot.state != Slot::kFinished && slot.state != Slot::kTaken;
     }
     return live;
+  }
+
+  /// Admits the next session in id order, pinned or not (Models::Admit).
+  void Admit() {
+    const size_t id = admitted_++;
+    models_.Admit(population_.algo[id], &population_.configs[id]);
+    InteractiveAlgorithm* owner = roster_.all()[population_.algo[id]];
+    const size_t added =
+        scheduler_.Add(owner->StartSession(population_.configs[id]), owner);
+    ASSERT_EQ(added, id);
+    slots_[id].state = Slot::kRunnable;
   }
 
   void NewEpoch() {
@@ -305,8 +370,9 @@ class SchedulerRun {
   }
 
   /// Hostile and stale traffic: every call must return its precise Status.
+  /// Ids not admitted yet are unknown to the scheduler.
   void Misuse() {
-    const size_t n = slots_.size();
+    const size_t n = admitted_;
     const size_t unknown = n + static_cast<size_t>(rng_.UniformInt(0, 5));
     if (rng_.Bernoulli(0.3)) {
       EXPECT_EQ(scheduler_.TryPostAnswer(unknown, Answer::kFirst).code(),
@@ -394,7 +460,8 @@ class SchedulerRun {
   /// The process dies: everything not in the store is lost, including
   /// takes since the epoch began (those slots come back finished).
   void Recover() {
-    Result<SessionScheduler> recovered = RecoverScheduler(store_, Resolver());
+    Result<SessionScheduler> recovered =
+        RecoverScheduler(store_, Resolver(), &models_.registry);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     scheduler_ = std::move(*recovered);
     for (Slot& slot : slots_) {
@@ -407,8 +474,10 @@ class SchedulerRun {
 
   Roster& roster_;
   Rng rng_;
+  Models models_;
   Population population_;
   std::vector<Slot> slots_;
+  size_t admitted_ = 0;
   double answer_p_ = 1.0;
   SessionScheduler scheduler_;
   SessionStore store_;
@@ -474,6 +543,7 @@ class ShardedRun {
   ShardedRun(Roster& roster, uint64_t seed)
       : roster_(roster),
         rng_(seed),
+        models_(roster, rng_),
         population_(rng_, 6 + static_cast<size_t>(rng_.UniformInt(0, 10)), seed),
         clients_(population_.configs.size()),
         prefix_(::testing::TempDir() + "/isrl_interleave_" + std::to_string(seed)),
@@ -482,11 +552,23 @@ class ShardedRun {
     options_.checkpoint_every_ticks = static_cast<size_t>(rng_.UniformInt(0, 3));
     answer_p_ = rng_.Bernoulli(0.25) ? 1.0 : rng_.Uniform(0.1, 0.8);
     stacks_ = std::make_unique<ShardStacks>(roster_, options_.shards);
+    NewCaches();
     engine_ = std::make_unique<ShardedScheduler>(options_);
     for (size_t i = 0; i < clients_.size(); ++i) {
+      if (rng_.Bernoulli(0.3)) {
+        models_.Publish(roster_, rng_);
+      }
+      const size_t shard = i % options_.shards;
+      models_.Admit(population_.algo[i], &population_.configs[i]);
+      // The engine's session scores through its shard's replica; the
+      // reference keeps the registry's snapshot (same weights).
+      SessionConfig config = population_.configs[i];
+      if (config.model != nullptr) {
+        config.model = caches_[shard]->Pin(config.model->version());
+      }
       InteractiveAlgorithm* owner =
-          stacks_->stacks[i % options_.shards][population_.algo[i]].get();
-      engine_->Add(owner->StartSession(population_.configs[i]), owner);
+          stacks_->stacks[shard][population_.algo[i]].get();
+      engine_->Add(owner->StartSession(config), owner);
     }
   }
 
@@ -499,7 +581,7 @@ class ShardedRun {
   }
 
   void Run() {
-    ASSERT_TRUE(engine_->EnableDurability(prefix_).ok());
+    ASSERT_TRUE(engine_->EnableDurability(prefix_, &models_.registry).ok());
     Serve();
     for (size_t step = 0; Live() > 0; ++step) {
       ASSERT_LT(step, 20000u) << "population never drained";
@@ -509,6 +591,9 @@ class ShardedRun {
       } else {
         ASSERT_FALSE(Busy()) << "a delivery owed to the users never came";
         Act();
+      }
+      if (rng_.Bernoulli(0.05)) {
+        models_.Publish(roster_, rng_);
       }
       if (::testing::Test::HasFailure()) return;
       if (restarts_ < 4 && rng_.Bernoulli(0.02)) Restart();
@@ -670,6 +755,16 @@ class ShardedRun {
     while (queue_.Pop(&event, 0.0)) Apply(event);
   }
 
+  /// One replica cache per shard over the run's registry (a recovered
+  /// process starts with empty caches).
+  void NewCaches() {
+    caches_.clear();
+    for (size_t k = 0; k < options_.shards; ++k) {
+      caches_.push_back(
+          std::make_unique<nn::ModelReplicaCache>(&models_.registry));
+    }
+  }
+
   /// Stop() — then either Start() again, or drop the engine and Recover()
   /// it from its files. Stop applies every queued record, so afterwards no
   /// answer or cancel is owed; each held question is handed over exactly
@@ -691,11 +786,16 @@ class ShardedRun {
     }
     if (rng_.Bernoulli(0.5)) {
       engine_.reset();
+      NewCaches();
       Result<std::unique_ptr<ShardedScheduler>> recovered =
-          ShardedScheduler::Recover(options_, prefix_, stacks_->Resolver());
+          ShardedScheduler::Recover(
+              options_, prefix_, stacks_->Resolver(),
+              [this](size_t shard) -> nn::ModelProvider* {
+                return caches_[shard].get();
+              });
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
       engine_ = std::move(*recovered);
-      ASSERT_TRUE(engine_->EnableDurability(prefix_).ok());
+      ASSERT_TRUE(engine_->EnableDurability(prefix_, &models_.registry).ok());
       // Sessions whose last answer was replayed but not yet ticked finish
       // again on the first tick; takes are not logged, so taken sessions
       // may come back finished.
@@ -713,6 +813,7 @@ class ShardedRun {
 
   Roster& roster_;
   Rng rng_;
+  Models models_;
   Population population_;
   std::vector<Client> clients_;
   const std::string prefix_;
@@ -721,6 +822,8 @@ class ShardedRun {
   double answer_p_ = 1.0;
   size_t restarts_ = 0;
   std::unique_ptr<ShardStacks> stacks_;
+  /// One replica cache per shard over models_.registry (NewCaches()).
+  std::vector<std::unique_ptr<nn::ModelReplicaCache>> caches_;
   EventQueue queue_;
   std::unique_ptr<ShardedScheduler> engine_;
 };

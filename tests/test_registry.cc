@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,11 +68,13 @@ AaOptions AaOpt() {
   return o;
 }
 
-/// Moves one Q-network weight so the fingerprint diverges from any snapshot
-/// published earlier (same trick as the checkpoint suite).
-void PerturbNetwork(rl::DqnAgent& agent) {
-  auto& first = static_cast<nn::Linear&>(agent.main_network().layer(0));
-  first.weights()[0] += 0.25;
+/// A copy of `network` with one weight moved, so its fingerprint diverges
+/// from any snapshot published earlier (same trick as the checkpoint suite).
+/// Publish it, or install it in an algorithm instance with SetWeights.
+nn::Network Perturbed(const nn::Network& network) {
+  nn::Network copy = network.Clone();
+  static_cast<nn::Linear&>(copy.layer(0)).weights()[0] += 0.25;
+  return copy;
 }
 
 void ExpectSameResult(const InteractionResult& a, const InteractionResult& b,
@@ -131,13 +134,16 @@ TEST(RegistryTest, PublishPinAndFingerprint) {
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_EQ(v1->fingerprint(), v1_fp);
-  EXPECT_TRUE(v1->SameWeights(ea.agent().main_network()));
+  EXPECT_EQ(v1->fingerprint(),
+            nn::NetworkFingerprint(ea.agent().main_network()));
 
-  // A publish installs an immutable copy: perturbing the source network
+  // A publish installs an immutable copy: changing the source network
   // afterwards changes neither the pinned snapshot nor its fingerprint.
-  PerturbNetwork(ea.agent());
-  EXPECT_FALSE(v1->SameWeights(ea.agent().main_network()));
+  ASSERT_TRUE(ea.SetWeights(Perturbed(ea.agent().main_network())).ok());
+  EXPECT_NE(v1->fingerprint(),
+            nn::NetworkFingerprint(ea.agent().main_network()));
   EXPECT_EQ(v1->fingerprint(), v1_fp);
+  EXPECT_EQ(nn::NetworkFingerprint(v1->network()), v1_fp);
 
   EXPECT_EQ(registry.Publish(ea.agent().main_network()), 2u);
   std::shared_ptr<const nn::ModelSnapshot> v2 = registry.Latest();
@@ -172,8 +178,7 @@ TEST(RegistryTest, FileRoundTripPreservesEveryVersion) {
   Ea ea(sky, EaOpt());
   nn::ModelRegistry registry;
   registry.Publish(ea.agent().main_network());
-  PerturbNetwork(ea.agent());
-  registry.Publish(ea.agent().main_network());
+  registry.Publish(Perturbed(ea.agent().main_network()));
 
   const std::string path = ::testing::TempDir() + "/isrl_registry_rt.bin";
   ASSERT_TRUE(registry.SaveFile(path).ok());
@@ -212,8 +217,7 @@ TEST(RegistrySessionTest, InFlightSessionUnaffectedByPublish) {
   // Same seed, same pin; v2 with different weights lands mid-episode.
   std::unique_ptr<InteractionSession> session = ea.StartSession(config);
   ASSERT_TRUE(DriveRounds(*session, user, 2));
-  PerturbNetwork(ea.agent());
-  EXPECT_EQ(registry.Publish(ea.agent().main_network()), 2u);
+  EXPECT_EQ(registry.Publish(Perturbed(ea.agent().main_network())), 2u);
   InteractionResult actual = DriveToEnd(*session, user);
 
   ExpectSameResult(expected, actual, "publish mid-episode");
@@ -245,7 +249,8 @@ void CheckpointAcrossSwap(Options options, const std::string& label) {
 
   // The swap happens while the checkpoint is on disk: v2 has different
   // weights AND the algorithm instance's live network moves with it.
-  PerturbNetwork(algo.agent());
+  ASSERT_TRUE(algo.SetWeights(Perturbed(algo.agent().main_network())).ok())
+      << label;
   EXPECT_EQ(registry.Publish(algo.agent().main_network()), 2u);
 
   // Restore through the provider: the snapshot's recorded version re-pins
@@ -292,6 +297,315 @@ TEST(RegistrySessionTest, EaCheckpointRestoresAcrossSwap) {
 
 TEST(RegistrySessionTest, AaCheckpointRestoresAcrossSwap) {
   CheckpointAcrossSwap<Aa>(AaOpt(), "AA");
+}
+
+// The users and seeds of a mixed population: even sessions are unpinned
+// (they score with the instance's own version-0 snapshot), odd ones are
+// pinned to the registry's Latest(), which holds different weights.
+struct MixedPopulation {
+  std::vector<Vec> utilities;
+  std::vector<SessionConfig> configs;
+
+  MixedPopulation(size_t sessions, size_t dim, nn::ModelProvider* pins,
+                  uint64_t master) {
+    Rng urng(master);
+    for (size_t i = 0; i < sessions; ++i) {
+      utilities.push_back(urng.SimplexUniform(dim));
+      SessionConfig config;
+      config.seed = SplitSeed(master, i);
+      if (i % 2 == 1) config.model = pins->Pin(1);
+      configs.push_back(config);
+    }
+  }
+
+  std::pair<std::vector<std::unique_ptr<LinearUser>>, std::vector<UserOracle*>>
+  Users() const {
+    std::pair<std::vector<std::unique_ptr<LinearUser>>,
+              std::vector<UserOracle*>>
+        f;
+    for (const Vec& u : utilities) {
+      f.first.push_back(std::make_unique<LinearUser>(u));
+      f.second.push_back(f.first.back().get());
+    }
+    return f;
+  }
+
+  /// Each session stepped to the end on its own, under its own model.
+  std::vector<InteractionResult> Reference(InteractiveAlgorithm& algo) const {
+    std::vector<InteractionResult> results;
+    for (size_t i = 0; i < configs.size(); ++i) {
+      LinearUser user(utilities[i]);
+      std::unique_ptr<InteractionSession> session =
+          algo.StartSession(configs[i]);
+      results.push_back(DriveToEnd(*session, user));
+    }
+    return results;
+  }
+};
+
+// Restoring through a provider re-pins every session to the model it was
+// saved under: registry-pinned sessions by version, unpinned (version 0)
+// sessions to the instance's own snapshot, which the provider never serves.
+template <typename Algo, typename Options>
+void MixedPopulationRestore(Options options, const std::string& label) {
+  Dataset sky = SmallSkyline(250, 3, 15);
+  Algo algo(sky, options);
+  nn::ModelRegistry registry;
+  registry.Publish(Perturbed(algo.agent().main_network()));
+  const MixedPopulation population(6, sky.dim(), &registry, 16);
+  const std::vector<InteractionResult> expected = population.Reference(algo);
+
+  // The scheduler path: two ticks, CheckpointAll, RestoreAll through the
+  // registry, then the rest of every episode.
+  SessionScheduler scheduler;
+  for (const SessionConfig& config : population.configs) {
+    scheduler.Add(algo.StartSession(config), &algo);
+  }
+  auto users = population.Users();
+  for (int tick = 0; tick < 2; ++tick) {
+    for (const PendingQuestion& pq : scheduler.Tick()) {
+      const SessionQuestion& q = pq.question;
+      scheduler.PostAnswer(pq.session_id,
+                           users.second[pq.session_id]->Ask(q.first, q.second));
+    }
+  }
+  size_t live[2] = {0, 0};  // unpinned, pinned
+  for (size_t i = 0; i < scheduler.size(); ++i) {
+    live[i % 2] += !scheduler.finished(i);
+  }
+  EXPECT_GT(live[0], 0u) << label << ": no unpinned session mid-episode";
+  EXPECT_GT(live[1], 0u) << label << ": no pinned session mid-episode";
+  Result<std::string> bytes = scheduler.CheckpointAll();
+  ASSERT_TRUE(bytes.ok()) << label << ": " << bytes.status().ToString();
+  Result<SessionScheduler> restored = SessionScheduler::RestoreAll(
+      *bytes,
+      [&algo](const std::string& name) -> InteractiveAlgorithm* {
+        return name == algo.name() ? &algo : nullptr;
+      },
+      &registry);
+  ASSERT_TRUE(restored.ok()) << label << ": " << restored.status().ToString();
+  std::vector<InteractionResult> results =
+      DriveWithUsers(*restored, users.second);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE(results[i].status.ok())
+        << label << " slot " << i << ": " << results[i].status.ToString();
+    ExpectSameResult(expected[i], results[i],
+                     label + " restored slot " + std::to_string(i));
+  }
+
+  // The single-session path: an unpinned session saved mid-episode reopens
+  // through the provider under the instance's snapshot.
+  LinearUser user(population.utilities[0]);
+  std::unique_ptr<InteractionSession> session =
+      algo.StartSession(population.configs[0]);
+  ASSERT_TRUE(DriveRounds(*session, user, 1)) << label;
+  Result<std::string> saved = session->SaveState();
+  ASSERT_TRUE(saved.ok()) << label;
+  SessionConfig restore;
+  restore.models = &registry;
+  Result<std::unique_ptr<InteractionSession>> reopened =
+      algo.RestoreSession(*saved, restore);
+  ASSERT_TRUE(reopened.ok()) << label << ": " << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->ModelVersion(), 0u) << label;
+  ExpectSameResult(expected[0], DriveToEnd(**reopened, user),
+                   label + " reopened unpinned session");
+}
+
+TEST(RegistrySessionTest, EaMixedPopulationRestoresThroughProvider) {
+  MixedPopulationRestore<Ea>(EaOpt(), "EA");
+}
+
+TEST(RegistrySessionTest, AaMixedPopulationRestoresThroughProvider) {
+  MixedPopulationRestore<Aa>(AaOpt(), "AA");
+}
+
+// The sharded form: per-shard clones and per-shard replica caches, a
+// durable run, then Recover through the caches. Every session, pinned or
+// not, must finish exactly as its uninterrupted reference.
+template <typename Algo, typename Options>
+void MixedPopulationShardedRecover(Options options, const std::string& label) {
+  Dataset sky = SmallSkyline(250, 3, 25);
+  Algo algo(sky, options);
+  nn::ModelRegistry registry;
+  registry.Publish(Perturbed(algo.agent().main_network()));
+  const size_t shards = 2;
+  const MixedPopulation population(6, sky.dim(), &registry, 26);
+  const std::vector<InteractionResult> expected = population.Reference(algo);
+  const std::string prefix =
+      ::testing::TempDir() + "/isrl_registry_mixed_" + label;
+
+  auto make_caches = [&registry, shards] {
+    std::vector<std::unique_ptr<nn::ModelReplicaCache>> caches;
+    for (size_t k = 0; k < shards; ++k) {
+      caches.push_back(std::make_unique<nn::ModelReplicaCache>(&registry));
+    }
+    return caches;
+  };
+  std::vector<std::unique_ptr<InteractiveAlgorithm>> clones;
+  for (size_t k = 0; k < shards; ++k) clones.push_back(algo.CloneForEval());
+  std::vector<std::unique_ptr<nn::ModelReplicaCache>> caches = make_caches();
+  ShardedOptions sharded_options;
+  sharded_options.shards = shards;
+  ShardedScheduler sharded(sharded_options);
+  for (size_t i = 0; i < population.configs.size(); ++i) {
+    const size_t shard = i % shards;
+    SessionConfig config = population.configs[i];
+    if (config.model != nullptr) config.model = caches[shard]->Pin(1);
+    sharded.Add(clones[shard]->StartSession(config), clones[shard].get());
+  }
+  ASSERT_TRUE(sharded.EnableDurability(prefix, &registry).ok()) << label;
+  {
+    auto users = population.Users();
+    Result<std::vector<InteractionResult>> served =
+        DriveSharded(sharded, users.second);
+    ASSERT_TRUE(served.ok()) << label << ": " << served.status().ToString();
+  }
+
+  std::vector<std::unique_ptr<InteractiveAlgorithm>> recovery_clones;
+  for (size_t k = 0; k < shards; ++k) {
+    recovery_clones.push_back(algo.CloneForEval());
+  }
+  std::vector<std::unique_ptr<nn::ModelReplicaCache>> recovery_caches =
+      make_caches();
+  Result<std::unique_ptr<ShardedScheduler>> recovered =
+      ShardedScheduler::Recover(
+          sharded_options, prefix,
+          [&recovery_clones](size_t shard,
+                             const std::string& name) -> InteractiveAlgorithm* {
+            return recovery_clones[shard]->name() == name
+                       ? recovery_clones[shard].get()
+                       : nullptr;
+          },
+          [&recovery_caches](size_t shard) -> nn::ModelProvider* {
+            return recovery_caches[shard].get();
+          });
+  ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status().ToString();
+  auto users = population.Users();
+  Result<std::vector<InteractionResult>> results =
+      DriveSharded(**recovered, users.second);
+  ASSERT_TRUE(results.ok()) << label << ": " << results.status().ToString();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_TRUE((*results)[i].status.ok())
+        << label << " session " << i << ": "
+        << (*results)[i].status.ToString();
+    ExpectSameResult(expected[i], (*results)[i],
+                     label + " recovered session " + std::to_string(i));
+  }
+  for (size_t k = 0; k < shards; ++k) {
+    std::remove(ShardedScheduler::ShardPath(prefix, k).c_str());
+  }
+  std::remove(ShardedScheduler::ManifestPath(prefix).c_str());
+}
+
+TEST(ShardedRegistryTest, EaMixedPopulationRecoversThroughReplicaCaches) {
+  MixedPopulationShardedRecover<Ea>(EaOpt(), "EA");
+}
+
+TEST(ShardedRegistryTest, AaMixedPopulationRecoversThroughReplicaCaches) {
+  MixedPopulationShardedRecover<Aa>(AaOpt(), "AA");
+}
+
+// --------------------------------------- the instance's own serving model
+
+static_assert(std::is_const_v<std::remove_reference_t<
+                  decltype(std::declval<Ea&>().agent())>>,
+              "EA's weights change only through Train/LoadAgent/SetWeights");
+static_assert(std::is_const_v<std::remove_reference_t<
+                  decltype(std::declval<Aa&>().agent())>>,
+              "AA's weights change only through Train/LoadAgent/SetWeights");
+
+// Every entry point that changes an instance's weights changes what new
+// unpinned sessions score with — the ServingModel() fingerprint follows the
+// network, and a checkpoint taken under the old weights is refused — while
+// sessions admitted earlier keep their snapshot.
+template <typename Algo, typename Options>
+void ServingModelFollowsWeights(Options options, const std::string& label) {
+  Dataset sky = SmallSkyline(250, 3, 35);
+  Algo algo(sky, options);
+  Rng urng(36);
+  LinearUser user(urng.SimplexUniform(sky.dim()));
+  SessionConfig config;
+  config.seed = 37;
+
+  auto serving_fingerprint = [&algo, &label] {
+    const uint64_t fingerprint = algo.ServingModel()->fingerprint();
+    EXPECT_EQ(fingerprint, nn::NetworkFingerprint(algo.agent().main_network()))
+        << label;
+    return fingerprint;
+  };
+  auto checkpoint = [&] {
+    std::unique_ptr<InteractionSession> session = algo.StartSession(config);
+    EXPECT_TRUE(DriveRounds(*session, user, 1)) << label;
+    Result<std::string> bytes = session->SaveState();
+    EXPECT_TRUE(bytes.ok()) << label;
+    return bytes.ok() ? *bytes : std::string();
+  };
+  auto restores = [&algo](const std::string& bytes) {
+    Result<std::unique_ptr<InteractionSession>> restored =
+        algo.RestoreSession(bytes, SessionConfig{});
+    if (!restored.ok()) {
+      EXPECT_NE(restored.status().message().find("bound to Q-network"),
+                std::string::npos)
+          << restored.status().ToString();
+    }
+    return restored.ok();
+  };
+
+  // Two unpinned admissions share the instance's snapshot object.
+  std::unique_ptr<InteractionSession> first = algo.StartSession(config);
+  std::unique_ptr<InteractionSession> second = algo.StartSession(config);
+  ASSERT_NE(first->ScoringModel(), nullptr) << label;
+  EXPECT_EQ(first->ScoringModel(), algo.ServingModel().get()) << label;
+  EXPECT_EQ(second->ScoringModel(), first->ScoringModel()) << label;
+  EXPECT_EQ(first->ModelVersion(), 0u) << label;
+  const uint64_t initial = serving_fingerprint();
+  const std::string initial_bytes = checkpoint();
+  EXPECT_TRUE(restores(initial_bytes)) << label;
+
+  // A clone serves the same weights through its own snapshot object.
+  std::unique_ptr<InteractiveAlgorithm> clone = algo.CloneForEval();
+  const auto& copy = static_cast<const Algo&>(*clone);
+  EXPECT_EQ(copy.ServingModel()->fingerprint(), initial) << label;
+  EXPECT_NE(copy.ServingModel(), algo.ServingModel()) << label;
+
+  // Train past min_replay_before_update.
+  Rng trng(38);
+  algo.Train(SampleUtilityVectors(8, sky.dim(), trng));
+  ASSERT_GT(algo.agent().num_updates(), 0u) << label;
+  const uint64_t trained = serving_fingerprint();
+  EXPECT_NE(trained, initial) << label;
+  EXPECT_FALSE(restores(initial_bytes)) << label << " after Train";
+  const std::string trained_bytes = checkpoint();
+  const std::string path =
+      ::testing::TempDir() + "/isrl_serving_model_" + label + ".net";
+  ASSERT_TRUE(algo.SaveAgent(path).ok()) << label;
+
+  // SetWeights.
+  ASSERT_TRUE(algo.SetWeights(Perturbed(algo.agent().main_network())).ok())
+      << label;
+  const uint64_t perturbed = serving_fingerprint();
+  EXPECT_NE(perturbed, trained) << label;
+  EXPECT_FALSE(restores(trained_bytes)) << label << " after SetWeights";
+
+  // LoadAgent brings the trained weights back, and with them the trained
+  // checkpoint.
+  ASSERT_TRUE(algo.LoadAgent(path).ok()) << label;
+  EXPECT_EQ(serving_fingerprint(), trained) << label;
+  EXPECT_TRUE(restores(trained_bytes)) << label << " after LoadAgent";
+  EXPECT_FALSE(restores(initial_bytes)) << label << " after LoadAgent";
+  std::remove(path.c_str());
+
+  // The sessions admitted first still score with the initial snapshot.
+  EXPECT_EQ(second->ScoringModel(), first->ScoringModel()) << label;
+  EXPECT_EQ(first->ScoringModel()->fingerprint(), initial) << label;
+}
+
+TEST(ServingModelTest, EaSnapshotFollowsEveryWeightChange) {
+  ServingModelFollowsWeights<Ea>(EaOpt(), "EA");
+}
+
+TEST(ServingModelTest, AaSnapshotFollowsEveryWeightChange) {
+  ServingModelFollowsWeights<Aa>(AaOpt(), "AA");
 }
 
 // ------------------------------------------------------------ trace store
@@ -811,12 +1125,7 @@ TEST(ShardedRegistryTest, DurableRecoveryRePinsManifestVersion) {
 
   // So is a provider whose version 1 hashes to different weights.
   nn::ModelRegistry imposter;
-  {
-    std::unique_ptr<InteractiveAlgorithm> source = ea.CloneForEval();
-    auto& source_ea = static_cast<Ea&>(*source);
-    PerturbNetwork(source_ea.agent());
-    imposter.Publish(source_ea.agent().main_network());
-  }
+  imposter.Publish(Perturbed(ea.agent().main_network()));
   std::vector<std::unique_ptr<nn::ModelReplicaCache>> imposter_caches;
   for (size_t k = 0; k < shards; ++k) {
     imposter_caches.push_back(
