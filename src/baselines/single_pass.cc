@@ -206,7 +206,7 @@ class SinglePass::Session final : public InteractionSession {
     return snapshot::WrapFrame(kSpSnapshotKind, kSpSnapshotVersion, w.Take());
   }
 
-  Status Decode(const std::string& payload) {
+  Status Decode(std::string_view payload) {
     snapshot::Reader r(payload);
     snapshot::SessionCore core;
     ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
@@ -501,7 +501,7 @@ std::unique_ptr<InteractionSession> SinglePass::StartSession(
 Result<std::unique_ptr<InteractionSession>> SinglePass::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kSpSnapshotKind, kSpSnapshotVersion, bytes));
   auto session =
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});

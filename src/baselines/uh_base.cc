@@ -191,7 +191,7 @@ class UhBase::Session final : public InteractionSession {
     return snapshot::WrapFrame(kUhSnapshotKind, kUhSnapshotVersion, w.Take());
   }
 
-  Status Decode(const std::string& payload) {
+  Status Decode(std::string_view payload) {
     snapshot::Reader r(payload);
     snapshot::SessionCore core;
     ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
@@ -344,7 +344,7 @@ std::unique_ptr<InteractionSession> UhBase::StartSession(
 Result<std::unique_ptr<InteractionSession>> UhBase::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kUhSnapshotKind, kUhSnapshotVersion, bytes));
   auto session =
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});

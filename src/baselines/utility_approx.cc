@@ -151,7 +151,7 @@ class UtilityApprox::Session final : public InteractionSession {
     return snapshot::WrapFrame(kUaSnapshotKind, kUaSnapshotVersion, w.Take());
   }
 
-  Status Decode(const std::string& payload) {
+  Status Decode(std::string_view payload) {
     snapshot::Reader r(payload);
     snapshot::SessionCore core;
     ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
@@ -340,7 +340,7 @@ std::unique_ptr<InteractionSession> UtilityApprox::StartSession(
 Result<std::unique_ptr<InteractionSession>> UtilityApprox::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kUaSnapshotKind, kUaSnapshotVersion, bytes));
   auto session =
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});

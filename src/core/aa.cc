@@ -362,7 +362,7 @@ class Aa::Session final : public InteractionSession {
     return snapshot::WrapFrame(kAaSnapshotKind, kAaSnapshotVersion, w.Take());
   }
 
-  Status Decode(const std::string& payload, const SessionConfig& config) {
+  Status Decode(std::string_view payload, const SessionConfig& config) {
     snapshot::Reader r(payload);
     snapshot::SessionCore core;
     ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
@@ -583,7 +583,7 @@ std::unique_ptr<InteractionSession> Aa::StartSession(
 Result<std::unique_ptr<InteractionSession>> Aa::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kAaSnapshotKind, kAaSnapshotVersion, bytes));
   auto session =
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});

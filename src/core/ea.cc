@@ -341,7 +341,7 @@ class Ea::Session final : public InteractionSession {
 
   /// Fills the shell from an unwrapped payload; every failure leaves the
   /// shell unusable but the process unharmed (the caller discards it).
-  Status Decode(const std::string& payload, const SessionConfig& config) {
+  Status Decode(std::string_view payload, const SessionConfig& config) {
     snapshot::Reader r(payload);
     snapshot::SessionCore core;
     ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
@@ -543,7 +543,7 @@ std::unique_ptr<InteractionSession> Ea::StartSession(
 Result<std::unique_ptr<InteractionSession>> Ea::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kEaSnapshotKind, kEaSnapshotVersion, bytes));
   auto session =
       std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});

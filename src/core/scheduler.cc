@@ -119,7 +119,7 @@ Result<SessionScheduler> SessionScheduler::RestoreAll(
     const std::string& bytes, const AlgorithmResolver& resolver,
     nn::ModelProvider* models) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kPopulationKind, kPopulationVersion, bytes));
   snapshot::Reader r(payload);
   uint64_t count = r.U64();
@@ -459,7 +459,7 @@ WalRecord DecodeWalRecord(snapshot::Reader* r) {
 /// Parses the records of one append-mode delta frame into `out`. Returns
 /// non-OK (and leaves `out` untouched) on any malformed byte, so a torn
 /// append never contributes partial records.
-Status DecodeWalDelta(const std::string& payload,
+Status DecodeWalDelta(std::string_view payload,
                       std::vector<WalRecord>* out) {
   snapshot::Reader r(payload);
   uint64_t count = r.U64();
@@ -506,8 +506,12 @@ std::string SessionStore::Serialize() const {
 
 Result<SessionStore> SessionStore::Deserialize(const std::string& bytes) {
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kStoreKind, kStoreVersion, bytes));
+  return DecodePayload(payload);
+}
+
+Result<SessionStore> SessionStore::DecodePayload(std::string_view payload) {
   snapshot::Reader r(payload);
   SessionStore store;
   store.population_ = r.Str();
@@ -560,33 +564,31 @@ Result<SessionStore> SessionStore::LoadFile(const std::string& path) {
   // SyncFile both write it atomically, so a crash cannot tear it — if it is
   // unreadable the file is corrupt, not torn).
   size_t pos = 0;
-  std::string kind;
+  std::string_view kind;
   uint32_t version = 0;
-  std::string payload;
+  std::string_view payload;
   ISRL_RETURN_IF_ERROR(
       snapshot::ReadFrameAt(bytes, &pos, &kind, &version, &payload));
   if (kind != kStoreKind) {
     return Status::InvalidArgument(Format(
         "session store file: leading frame is a '%s', expected '%s'",
-        kind.c_str(), kStoreKind));
+        std::string(kind).c_str(), kStoreKind));
   }
   if (version != kStoreVersion) {
     return Status::InvalidArgument(Format(
         "session store file: version skew (%u, this build reads %u)",
         version, kStoreVersion));
   }
-  ISRL_ASSIGN_OR_RETURN(
-      SessionStore store,
-      Deserialize(snapshot::WrapFrame(kStoreKind, kStoreVersion, payload)));
+  ISRL_ASSIGN_OR_RETURN(SessionStore store, DecodePayload(payload));
   // Delta frames appended by SyncFile. A torn or corrupted tail is the
   // expected remains of a crash mid-append: recovery proceeds from the last
   // complete frame (the discarded answers were never applied durably — the
   // write-ahead contract re-asks those questions instead).
   bool clean_tail = true;
   while (pos < bytes.size()) {
-    std::string delta_kind;
+    std::string_view delta_kind;
     uint32_t delta_version = 0;
-    std::string delta_payload;
+    std::string_view delta_payload;
     Status frame = snapshot::ReadFrameAt(bytes, &pos, &delta_kind,
                                          &delta_version, &delta_payload);
     if (!frame.ok()) {

@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -289,6 +290,9 @@ class SessionStore {
   static Result<SessionStore> LoadFile(const std::string& path);
 
  private:
+  /// Decodes a full-store frame's payload (the frame already validated).
+  static Result<SessionStore> DecodePayload(std::string_view payload);
+
   std::string population_;
   std::vector<WalRecord> wal_;
   /// SyncFile cursor: whether the current epoch's full-store frame is on

@@ -1,14 +1,15 @@
 #include "core/snapshot.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -22,51 +23,57 @@ namespace {
 constexpr char kMagic[4] = {'I', 'S', 'R', 'L'};
 constexpr uint32_t kCrcPoly = 0xEDB88320u;
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (kCrcPoly ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
+/// Slicing-by-8 tables: table 0 is the classic byte-at-a-time table, and
+/// table k maps a byte to its CRC contribution k zero bytes further on, so
+/// one step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (kCrcPoly ^ (c >> 1)) : (c >> 1);
     }
-    return t;
-  }();
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32(const std::string& bytes) {
-  const std::array<uint32_t, 256>& table = CrcTable();
-  uint32_t c = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+    t[0][i] = c;
   }
-  return c ^ 0xFFFFFFFFu;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-// ---- Frame. ---------------------------------------------------------------
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
-std::string WrapFrame(const std::string& kind, uint32_t version,
-                      const std::string& payload) {
-  Writer w;
-  for (char m : kMagic) w.U8(static_cast<uint8_t>(m));
-  w.Str(kind);
-  w.U32(version);
-  w.U64(payload.size());
-  std::string frame = w.Take();
-  frame += payload;
-  Writer crc;
-  crc.U32(Crc32(payload));
-  frame += crc.bytes();
-  return frame;
+/// Little-endian 32-bit load from unaligned bytes (one mov on x86).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-Result<std::string> UnwrapFrame(const std::string& kind, uint32_t version,
-                                const std::string& bytes) {
+/// What UnwrapFrame demands of a frame beyond being well-formed.
+struct FrameExpectation {
+  std::string_view kind;
+  uint32_t version;
+};
+
+/// A parsed frame: views into the scanned bytes, plus its total length.
+struct FrameView {
+  std::string_view kind;
+  uint32_t version = 0;
+  std::string_view payload;
+  size_t size = 0;
+};
+
+/// The one frame parser behind UnwrapFrame and ReadFrameAt: validates the
+/// frame at the start of `bytes` and checks its payload CRC in place. With
+/// `expect` (UnwrapFrame) a different kind or version is rejected as soon as
+/// the field is read, and the frame must span all of `bytes`; without it
+/// (ReadFrameAt) any kind is accepted and further bytes may follow.
+Status ParseFrame(std::string_view bytes, const FrameExpectation* expect,
+                  FrameView* out) {
   Reader r(bytes);
   char magic[4] = {};
   for (char& m : magic) m = static_cast<char>(r.U8());
@@ -75,122 +82,123 @@ Result<std::string> UnwrapFrame(const std::string& kind, uint32_t version,
     return Status::InvalidArgument(
         "snapshot frame: bad magic (not an ISRL snapshot)");
   }
-  std::string got_kind = r.Str();
+  const std::string_view kind = r.StrView();
   if (r.failed()) {
     return Status::InvalidArgument("snapshot frame: truncated kind tag");
   }
-  if (got_kind != kind) {
+  if (expect != nullptr && kind != expect->kind) {
     return Status::InvalidArgument(Format(
         "snapshot frame: kind mismatch (snapshot holds a '%s', expected "
         "'%s')",
-        got_kind.c_str(), kind.c_str()));
+        std::string(kind).c_str(), std::string(expect->kind).c_str()));
   }
-  uint32_t got_version = r.U32();
+  const uint32_t version = r.U32();
   if (r.failed()) {
     return Status::InvalidArgument("snapshot frame: truncated version field");
   }
-  if (got_version != version) {
+  if (expect != nullptr && version != expect->version) {
     return Status::InvalidArgument(
         Format("snapshot frame: version skew ('%s' version %u, this build "
                "reads version %u)",
-               kind.c_str(), got_version, version));
+               std::string(kind).c_str(), version, expect->version));
   }
-  uint64_t payload_size = r.U64();
+  const uint64_t payload_size = r.U64();
   if (r.failed()) {
     return Status::InvalidArgument("snapshot frame: truncated size field");
   }
   // Header = magic(4) + kind(8 + len) + version(4) + size(8).
-  const size_t header = 4 + 8 + got_kind.size() + 4 + 8;
+  const size_t header = 4 + 8 + kind.size() + 4 + 8;
   if (payload_size > bytes.size() || bytes.size() - header < payload_size + 4) {
     return Status::InvalidArgument(Format(
         "snapshot frame: truncated ('%s' payload of %llu bytes does not fit "
         "in %llu remaining)",
-        kind.c_str(), static_cast<unsigned long long>(payload_size),
+        std::string(kind).c_str(),
+        static_cast<unsigned long long>(payload_size),
         static_cast<unsigned long long>(
             bytes.size() > header ? bytes.size() - header : 0)));
   }
-  if (bytes.size() != header + payload_size + 4) {
+  if (expect != nullptr && bytes.size() != header + payload_size + 4) {
     return Status::InvalidArgument(
         Format("snapshot frame: %llu trailing bytes after '%s' frame",
                static_cast<unsigned long long>(bytes.size() - header -
                                                payload_size - 4),
-               kind.c_str()));
+               std::string(kind).c_str()));
   }
-  std::string payload = bytes.substr(header, payload_size);
-  // Read the stored CRC from the final four bytes.
-  uint32_t stored = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(
-                  static_cast<uint8_t>(bytes[header + payload_size + i]))
-              << (8 * i);
-  }
+  const std::string_view payload = bytes.substr(header, payload_size);
+  const uint32_t stored = LoadLe32(reinterpret_cast<const unsigned char*>(
+      bytes.data() + header + payload_size));
   const uint32_t computed = Crc32(payload);
   if (stored != computed) {
     return Status::InvalidArgument(
         Format("snapshot frame: CRC mismatch on '%s' payload (stored "
                "%08x, computed %08x) — snapshot is corrupted",
-               kind.c_str(), stored, computed));
+               std::string(kind).c_str(), stored, computed));
   }
-  return payload;
+  out->kind = kind;
+  out->version = version;
+  out->payload = payload;
+  out->size = header + payload_size + 4;
+  return Status::Ok();
 }
 
-Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
-                   uint32_t* version, std::string* payload) {
+}  // namespace
+
+uint32_t Crc32(std::string_view bytes) {
+  const CrcTables& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
+  uint32_t c = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// ---- Frame. ---------------------------------------------------------------
+
+std::string WrapFrame(std::string_view kind, uint32_t version,
+                      std::string_view payload) {
+  Writer w;
+  for (char m : kMagic) w.U8(static_cast<uint8_t>(m));
+  w.Str(kind);
+  w.U32(version);
+  w.U64(payload.size());
+  std::string frame = w.Take();
+  frame.reserve(frame.size() + payload.size() + 4);
+  frame += payload;
+  Writer crc;
+  crc.U32(Crc32(payload));
+  frame += crc.bytes();
+  return frame;
+}
+
+Result<std::string_view> UnwrapFrame(std::string_view kind, uint32_t version,
+                                     std::string_view bytes) {
+  const FrameExpectation expect{kind, version};
+  FrameView frame;
+  ISRL_RETURN_IF_ERROR(ParseFrame(bytes, &expect, &frame));
+  return frame.payload;
+}
+
+Status ReadFrameAt(std::string_view bytes, size_t* pos, std::string_view* kind,
+                   uint32_t* version, std::string_view* payload) {
   const size_t start = *pos;
   if (start > bytes.size()) {
     return Status::InvalidArgument("snapshot frame: scan position past end");
   }
-  // The Reader has no seek, so parse a copy of the remaining bytes. Scan
-  // cost is frames × remaining-size — recovery-time only, never on the
-  // serving path.
-  const std::string rest = bytes.substr(start);
-  Reader rr(rest);
-  char magic[4] = {};
-  for (char& m : magic) m = static_cast<char>(rr.U8());
-  if (rr.failed() || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return Status::InvalidArgument(
-        "snapshot frame: bad magic (not an ISRL snapshot)");
-  }
-  std::string got_kind = rr.Str();
-  if (rr.failed()) {
-    return Status::InvalidArgument("snapshot frame: truncated kind tag");
-  }
-  uint32_t got_version = rr.U32();
-  if (rr.failed()) {
-    return Status::InvalidArgument("snapshot frame: truncated version field");
-  }
-  uint64_t payload_size = rr.U64();
-  if (rr.failed()) {
-    return Status::InvalidArgument("snapshot frame: truncated size field");
-  }
-  const size_t header = 4 + 8 + got_kind.size() + 4 + 8;
-  if (payload_size > rest.size() || rest.size() - header < payload_size + 4) {
-    return Status::InvalidArgument(Format(
-        "snapshot frame: truncated ('%s' payload of %llu bytes does not fit "
-        "in %llu remaining)",
-        got_kind.c_str(), static_cast<unsigned long long>(payload_size),
-        static_cast<unsigned long long>(
-            rest.size() > header ? rest.size() - header : 0)));
-  }
-  std::string got_payload = rest.substr(header, payload_size);
-  uint32_t stored = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(
-                  static_cast<uint8_t>(rest[header + payload_size + i]))
-              << (8 * i);
-  }
-  const uint32_t computed = Crc32(got_payload);
-  if (stored != computed) {
-    return Status::InvalidArgument(
-        Format("snapshot frame: CRC mismatch on '%s' payload (stored "
-               "%08x, computed %08x) — snapshot is corrupted",
-               got_kind.c_str(), stored, computed));
-  }
-  *pos = start + header + payload_size + 4;
-  *kind = std::move(got_kind);
-  *version = got_version;
-  *payload = std::move(got_payload);
+  FrameView frame;
+  ISRL_RETURN_IF_ERROR(ParseFrame(bytes.substr(start), nullptr, &frame));
+  *pos = start + frame.size;
+  *kind = frame.kind;
+  *version = frame.version;
+  *payload = frame.payload;
   return Status::Ok();
 }
 
@@ -206,7 +214,7 @@ void Writer::U64(uint64_t v) {
 
 void Writer::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
-void Writer::Str(const std::string& s) {
+void Writer::Str(std::string_view s) {
   U64(s.size());
   out_.append(s);
 }
@@ -265,11 +273,10 @@ double Reader::FiniteF64() {
   return v;
 }
 
-std::string Reader::Str() {
+std::string_view Reader::StrView() {
   uint64_t n = U64();
-  if (failed_) return std::string();
-  if (!Need(n)) return std::string();
-  std::string s = bytes_.substr(pos_, n);
+  if (!Need(n)) return std::string_view();
+  std::string_view s = bytes_.substr(pos_, n);
   pos_ += n;
   return s;
 }
@@ -775,16 +782,36 @@ Status AppendFileBytes(const std::string& path, const std::string& bytes) {
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open '" + path + "' for reading");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failure on '" + path + "'");
+  struct stat st {};
+  std::string bytes;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    bytes.resize(static_cast<size_t>(st.st_size));
   }
-  return buffer.str();
+  // Fill the stat-sized buffer, then keep reading until EOF in case the
+  // file grew since; a file that shrank is trimmed to what was read.
+  size_t got = 0;
+  char spill[4096];
+  while (true) {
+    const bool in_buffer = got < bytes.size();
+    char* dst = in_buffer ? bytes.data() + got : spill;
+    const size_t room = in_buffer ? bytes.size() - got : sizeof(spill);
+    const ssize_t n = ::read(fd, dst, room);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      (void)::close(fd);
+      return Status::IoError("read failure on '" + path + "'");
+    }
+    if (n == 0) break;
+    if (!in_buffer) bytes.append(spill, static_cast<size_t>(n));
+    got += static_cast<size_t>(n);
+  }
+  (void)::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 }  // namespace isrl::snapshot

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/budget.h"
@@ -41,19 +42,22 @@
 
 namespace isrl::snapshot {
 
-/// CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/PNG CRC) of `bytes`.
-uint32_t Crc32(const std::string& bytes);
+/// CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/PNG CRC) of `bytes`,
+/// computed eight bytes per step (slicing-by-8).
+uint32_t Crc32(std::string_view bytes);
 
 /// Wraps `payload` in the versioned frame: magic, kind tag, format version,
 /// payload size, payload bytes, CRC32 of the payload.
-std::string WrapFrame(const std::string& kind, uint32_t version,
-                      const std::string& payload);
+std::string WrapFrame(std::string_view kind, uint32_t version,
+                      std::string_view payload);
 
-/// Validates a frame and returns its payload. Every mismatch is a distinct
-/// InvalidArgument: bad magic ("not a snapshot"), wrong kind (e.g. an AA
-/// snapshot handed to EA), version skew, truncation, CRC failure.
-Result<std::string> UnwrapFrame(const std::string& kind, uint32_t version,
-                                const std::string& bytes);
+/// Validates a frame and returns its payload as a view into `bytes` (valid
+/// while `bytes` is) — the CRC is checked in place, nothing is copied. Every
+/// mismatch is a distinct InvalidArgument: bad magic ("not a snapshot"),
+/// wrong kind (e.g. an AA snapshot handed to EA), version skew, truncation,
+/// trailing bytes, CRC failure.
+Result<std::string_view> UnwrapFrame(std::string_view kind, uint32_t version,
+                                     std::string_view bytes);
 
 /// Appends fixed-width little-endian scalars to a byte string. Writers
 /// cannot fail; all validation lives on the read side.
@@ -65,7 +69,7 @@ class Writer {
   void Bool(bool v) { U8(v ? 1 : 0); }
   void F64(double v);
   /// Length-prefixed byte string.
-  void Str(const std::string& s);
+  void Str(std::string_view s);
 
   const std::string& bytes() const { return out_; }
   std::string Take() { return std::move(out_); }
@@ -80,7 +84,8 @@ class Writer {
 /// once at the end.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  /// Reads from a view: `bytes` must outlive the reader.
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   uint8_t U8();
   uint32_t U32();
@@ -90,7 +95,9 @@ class Reader {
   /// F64 that additionally fails the reader on NaN/Inf — the default for
   /// every payload double so corrupted numerics cannot enter a session.
   double FiniteF64();
-  std::string Str();
+  std::string Str() { return std::string(StrView()); }
+  /// Str() without the copy: a view into the reader's bytes.
+  std::string_view StrView();
 
   /// Marks the reader failed (first message wins).
   void Fail(const std::string& message);
@@ -103,7 +110,7 @@ class Reader {
  private:
   bool Need(size_t n);
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   size_t pos_ = 0;
   bool failed_ = false;
   std::string message_;
@@ -231,13 +238,13 @@ Result<std::shared_ptr<const nn::ModelSnapshot>> RepinModel(
 
 /// Incremental frame scan for multi-frame files (the append-mode session
 /// store): parses one frame starting at `*pos`, validates its magic and
-/// CRC, returns its kind/version/payload, and advances `*pos` past it.
-/// Unlike UnwrapFrame it accepts any kind and tolerates further frames
-/// after this one; a truncated or corrupted frame returns InvalidArgument
-/// and leaves `*pos` untouched (the caller decides whether a torn tail is
-/// recoverable).
-Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
-                   uint32_t* version, std::string* payload);
+/// CRC, returns its kind/version/payload as views into `bytes`, and
+/// advances `*pos` past it. Unlike UnwrapFrame it accepts any kind and
+/// tolerates further frames after this one; a truncated or corrupted frame
+/// returns InvalidArgument and leaves `*pos` untouched (the caller decides
+/// whether a torn tail is recoverable).
+Status ReadFrameAt(std::string_view bytes, size_t* pos, std::string_view* kind,
+                   uint32_t* version, std::string_view* payload);
 
 // ---- Files. ---------------------------------------------------------------
 // The only sanctioned binary file IO in the tree (see the raw-serialization
@@ -256,6 +263,7 @@ Status WriteFileBytes(const std::string& path, const std::string& bytes);
 /// SessionStore::SyncFile / LoadFile).
 Status AppendFileBytes(const std::string& path, const std::string& bytes);
 
+/// Reads the whole file in one pass into a buffer sized from its length.
 Result<std::string> ReadFileBytes(const std::string& path);
 
 /// Test-only crash injection for the durability suite: the next

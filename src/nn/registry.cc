@@ -79,7 +79,7 @@ Status ModelRegistry::SaveFile(const std::string& path) const {
 Status ModelRegistry::LoadFile(const std::string& path) {
   ISRL_ASSIGN_OR_RETURN(std::string bytes, snapshot::ReadFileBytes(path));
   ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
+      std::string_view payload,
       snapshot::UnwrapFrame(kRegistryKind, kRegistryVersion, bytes));
   snapshot::Reader r(payload);
   const uint64_t count = r.U64();

@@ -1,9 +1,11 @@
 #include "serve/sharding.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "core/snapshot.h"
 #include "nn/registry.h"
@@ -25,6 +27,14 @@ Status MirrorDesync(size_t shard, size_t local, const Status& cause) {
       Format("shard %zu: mirror accepted a record for local session %zu that "
              "its scheduler rejects — %s",
              shard, local, cause.message().c_str()));
+}
+
+// A shard's store file or WAL replay failed during Recover: the cause,
+// prefixed with the shard and its file so an operator knows which to repair.
+Status ShardRecoveryError(size_t shard, const std::string& path,
+                          const Status& cause) {
+  return Status(cause.code(), Format("recover: shard %zu (%s): %s", shard,
+                                     path.c_str(), cause.message().c_str()));
 }
 
 }  // namespace
@@ -117,16 +127,16 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
   // Manual frame parse instead of UnwrapFrame: v1 manifests (no registry
   // record) stay readable.
   size_t manifest_pos = 0;
-  std::string manifest_kind;
+  std::string_view manifest_kind;
   uint32_t manifest_version = 0;
-  std::string manifest_payload;
+  std::string_view manifest_payload;
   ISRL_RETURN_IF_ERROR(snapshot::ReadFrameAt(manifest_bytes, &manifest_pos,
                                              &manifest_kind, &manifest_version,
                                              &manifest_payload));
   if (manifest_kind != kManifestKind) {
     return Status::InvalidArgument(
         Format("shard manifest: frame is a '%s', expected '%s'",
-               manifest_kind.c_str(), kManifestKind));
+               std::string(manifest_kind).c_str(), kManifestKind));
   }
   if (manifest_version == 0 || manifest_version > kManifestVersion) {
     return Status::InvalidArgument(
@@ -161,10 +171,10 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
         saved_shards, num_shards));
   }
 
-  size_t total = 0;
-  for (size_t k = 0; k < num_shards; ++k) {
-    ISRL_ASSIGN_OR_RETURN(SessionStore store,
-                          SessionStore::LoadFile(ShardPath(path_prefix, k)));
+  auto recover_shard = [&](size_t k) -> Status {
+    const std::string path = ShardPath(path_prefix, k);
+    Result<SessionStore> store = SessionStore::LoadFile(path);
+    if (!store.ok()) return ShardRecoveryError(k, path, store.status());
     AlgorithmResolver local_resolver =
         [&resolver, k](const std::string& name) -> InteractiveAlgorithm* {
       return resolver ? resolver(k, name) : nullptr;
@@ -192,11 +202,27 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
             static_cast<unsigned long long>(latest_fingerprint)));
       }
     }
-    ISRL_ASSIGN_OR_RETURN(SessionScheduler scheduler,
-                          RecoverScheduler(store, local_resolver, provider));
+    Result<SessionScheduler> scheduler =
+        RecoverScheduler(*store, local_resolver, provider);
+    if (!scheduler.ok()) return ShardRecoveryError(k, path, scheduler.status());
     Shard& shard = *engine->shards_[k];
     MutexLock exec(shard.exec_mu);
-    shard.scheduler = std::move(scheduler);
+    shard.scheduler = std::move(*scheduler);
+    return Status::Ok();
+  };
+  // Shards recover concurrently, one dedicated worker each: the resolver and
+  // provider hand every shard its own algorithm instance and model provider,
+  // so the workers share nothing but the read-only inputs. Each writes only
+  // its own status slot and shard; failures are reported in shard order, so
+  // the lowest failing shard wins whatever the thread timing.
+  std::vector<Status> shard_status(num_shards, Status::Ok());
+  ParallelFor(num_shards, num_shards,
+              [&](size_t k) { shard_status[k] = recover_shard(k); });
+  size_t total = 0;
+  for (size_t k = 0; k < num_shards; ++k) {
+    ISRL_RETURN_IF_ERROR(shard_status[k]);
+    Shard& shard = *engine->shards_[k];
+    MutexLock exec(shard.exec_mu);
     total += shard.scheduler.size();
   }
   if (total != saved_sessions) {

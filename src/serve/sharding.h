@@ -69,17 +69,22 @@ struct ShardedOptions {
 };
 
 /// Per-shard resolver for Recover: maps (shard, algorithm name) to the live
-/// instance that reopens that shard's sessions. Handing each shard its own
-/// CloneForEval() instance keeps RL scoring scratch unshared across worker
-/// threads; returning nullptr degrades the slot (DESIGN.md §14).
+/// instance that reopens that shard's sessions; returning nullptr degrades
+/// the slot (DESIGN.md §14). Recover calls it from one thread per shard at
+/// the same time, so it must be safe to call concurrently for different
+/// shards, and each shard needs its own instance (CloneForEval()): a shared
+/// instance would be restored into from several threads at once and would
+/// share RL scoring scratch across the serving workers.
 using ShardAlgorithmResolver =
     std::function<InteractiveAlgorithm*(size_t shard, const std::string& name)>;
 
 /// Per-shard model provider for Recover: maps a shard to the ModelProvider
-/// its sessions re-pin registry versions through (SessionConfig::models).
-/// Hand each shard its own ModelReplicaCache over the shared registry so
-/// snapshot inference scratch stays unshared across worker threads
-/// (DESIGN.md §18); nullptr (or a null result) restores without a provider.
+/// its sessions re-pin registry versions through (SessionConfig::models);
+/// nullptr (or a null result) restores without a provider. Like the
+/// resolver it is called from one thread per shard at the same time, so
+/// each shard needs its own provider — a ModelReplicaCache over the shared
+/// registry — which also keeps snapshot inference scratch unshared across
+/// worker threads (DESIGN.md §18).
 using ShardModelProvider = std::function<nn::ModelProvider*(size_t shard)>;
 
 /// N SessionScheduler shards pinned to worker threads behind a thread-safe
@@ -137,10 +142,13 @@ class ShardedScheduler {
   static std::string ManifestPath(const std::string& prefix);
 
   /// Rebuilds a sharded population from the per-shard store files written
-  /// by a durable serving run: every shard recovers independently
-  /// (snapshot + WAL replay, RecoverScheduler semantics). The recovered
-  /// engine is not yet durable — call EnableDurability (typically with the
-  /// same prefix) to begin a fresh epoch, then Start().
+  /// by a durable serving run: every shard recovers independently and
+  /// concurrently, one thread per shard (snapshot + WAL replay,
+  /// RecoverScheduler semantics). A shard whose file or replay fails comes
+  /// back as "recover: shard <k> (<path>): <cause>"; when several fail, the
+  /// lowest shard index is reported. The recovered engine is not yet
+  /// durable — call EnableDurability (typically with the same prefix) to
+  /// begin a fresh epoch, then Start().
   static Result<std::unique_ptr<ShardedScheduler>> Recover(
       const ShardedOptions& options, const std::string& path_prefix,
       const ShardAlgorithmResolver& resolver,

@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -697,7 +698,8 @@ TEST(CorruptionTest, TruncationsAreRejectedWithoutCrashing) {
 TEST(CorruptionTest, VersionSkewIsRejectedWithAVersionError) {
   Roster roster(SmallSkyline(150, 3, 151));
   const std::string good = UhSnapshot(roster, 11);
-  Result<std::string> payload = snapshot::UnwrapFrame("uh-session", 1, good);
+  Result<std::string_view> payload =
+      snapshot::UnwrapFrame("uh-session", 1, good);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   const std::string skewed = snapshot::WrapFrame("uh-session", 99, *payload);
   Result<std::unique_ptr<InteractionSession>> restored =
@@ -821,6 +823,79 @@ TEST(CorruptionTest, SessionStoreFileRoundTrip) {
 TEST(SnapshotCodecTest, Crc32MatchesTheStandardCheckValue) {
   EXPECT_EQ(snapshot::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(snapshot::Crc32(""), 0u);
+}
+
+/// The textbook bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320):
+/// the reference the word-at-a-time implementation must reproduce.
+uint32_t ReferenceCrc32(const char* data, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCodecTest, Crc32MatchesTheBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xC3C);
+  std::string buffer(8 + 300, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng.UniformInt(0, 255));
+  // Every start offset mod 8 and every length up to 300 covers the sliced
+  // loop's unaligned head, its 8-byte body and every tail length.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(snapshot::Crc32(bytes),
+                ReferenceCrc32(bytes.data(), bytes.size()))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char ch : bytes) {
+    hex += kDigits[static_cast<uint8_t>(ch) >> 4];
+    hex += kDigits[static_cast<uint8_t>(ch) & 0xF];
+  }
+  return hex;
+}
+
+// Golden bytes: the on-disk format is frozen (no version bump), so these
+// hex strings must never change. A failure here means files written by
+// earlier builds would no longer read back, or this build writes bytes
+// earlier builds cannot read.
+TEST(SnapshotFormatTest, FrameBytesAreGolden) {
+  EXPECT_EQ(Hex(snapshot::WrapFrame("alpha", 1, "payload")),
+            "4953524c0500000000000000616c706861010000000700000000000000706179"
+            "6c6f6164156a2c42");
+}
+
+TEST(SnapshotFormatTest, SessionStoreFileBytesAreGolden) {
+  const std::string path = ::testing::TempDir() + "/isrl_store_golden.bin";
+  SessionStore store;
+  store.BeginEpoch("epoch-1");
+  store.LogAnswer(2, Answer::kNoAnswer);
+  ASSERT_TRUE(store.SyncFile(path).ok());  // the full store frame
+  store.LogAnswer(5, Answer::kSecond);
+  store.LogCancel(3);
+  ASSERT_TRUE(store.SyncFile(path).ok());  // one appended WAL delta frame
+  Result<std::string> bytes = snapshot::ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(Hex(*bytes),
+            "4953524c0d0000000000000073657373696f6e2d73746f726501000000210000"
+            "0000000000070000000000000065706f63682d31010000000000000002000000"
+            "0000000000025d93880f4953524c110000000000000073657373696f6e2d7374"
+            "6f72652d77616c010000001c0000000000000002000000000000000500000000"
+            "0000000001030000000000000001004e08339b");
+  Result<SessionStore> loaded = SessionStore::LoadFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->population(), "epoch-1");
+  EXPECT_EQ(loaded->wal().size(), 3u);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotCodecTest, RngRoundTripContinuesTheDrawSequence) {

@@ -873,6 +873,75 @@ TEST(ShardedDurabilityTest, DurableShardedRunRecoversPerShardFromItsFiles) {
   std::remove(torn.c_str());
 }
 
+// Shards recover concurrently, but a failure is still reported
+// deterministically: the error names the lowest damaged shard and its file,
+// whichever worker finishes first.
+TEST(ShardedDurabilityTest, RecoverErrorNamesTheLowestDamagedShard) {
+  Roster roster(SmallSkyline(200, 3, 271));
+  RunBudget budget;
+  budget.max_rounds = 8;
+  const size_t sessions = 9;
+  const size_t shards = 3;
+  const std::string prefix = ::testing::TempDir() + "/isrl_damaged_pop";
+  ShardStacks stacks(roster, shards);
+  ShardedOptions options;
+  options.shards = shards;
+  ShardedScheduler sharded(options);
+  AddShardedPopulation(sharded, stacks, sessions, roster.all().size(), budget,
+                       0xBAD5);
+  ASSERT_TRUE(sharded.EnableDurability(prefix).ok());
+  Fleet fleet = LinearFleet(FleetUtilities(sessions, 3, 272));
+  ASSERT_TRUE(DriveSharded(sharded, fleet.users).ok());
+
+  const std::string path1 = ShardedScheduler::ShardPath(prefix, 1);
+  const std::string path2 = ShardedScheduler::ShardPath(prefix, 2);
+  Result<std::string> good1 = snapshot::ReadFileBytes(path1);
+  Result<std::string> good2 = snapshot::ReadFileBytes(path2);
+  ASSERT_TRUE(good1.ok() && good2.ok());
+  // Shard 1 loses the second half of its file; shard 2 gets one byte of its
+  // leading full-store frame's payload flipped (the 37-byte frame header is
+  // magic, the "session-store" kind tag, version and size).
+  ASSERT_TRUE(
+      snapshot::WriteFileBytes(path1, good1->substr(0, good1->size() / 2))
+          .ok());
+  std::string flipped = *good2;
+  ASSERT_GT(flipped.size(), 64u);
+  flipped[64] = static_cast<char>(flipped[64] ^ 0x10);
+  ASSERT_TRUE(snapshot::WriteFileBytes(path2, flipped).ok());
+
+  auto recover = [&] {
+    ShardStacks recovery_stacks(roster, shards);
+    return ShardedScheduler::Recover(options, prefix,
+                                     recovery_stacks.Resolver())
+        .status();
+  };
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    Status both = recover();
+    ASSERT_FALSE(both.ok());
+    EXPECT_EQ(both.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(both.message().rfind("recover: shard 1 (" + path1 + "): ", 0), 0u)
+        << both.ToString();
+    EXPECT_NE(both.message().find("truncated"), std::string::npos)
+        << both.ToString();
+  }
+
+  ASSERT_TRUE(snapshot::WriteFileBytes(path1, *good1).ok());
+  Status only2 = recover();
+  ASSERT_FALSE(only2.ok());
+  EXPECT_EQ(only2.message().rfind("recover: shard 2 (" + path2 + "): ", 0), 0u)
+      << only2.ToString();
+  EXPECT_NE(only2.message().find("CRC mismatch"), std::string::npos)
+      << only2.ToString();
+
+  ASSERT_TRUE(snapshot::WriteFileBytes(path2, *good2).ok());
+  EXPECT_TRUE(recover().ok());
+
+  for (size_t k = 0; k < shards; ++k) {
+    std::remove(ShardedScheduler::ShardPath(prefix, k).c_str());
+  }
+  std::remove(ShardedScheduler::ManifestPath(prefix).c_str());
+}
+
 TEST(ShardedDurabilityTest, MidRunWriteFailureHaltsTheShardRecoverably) {
   Roster roster(SmallSkyline(200, 3, 261));
   RunBudget budget;
