@@ -497,12 +497,16 @@ void BM_SessionTrickle(benchmark::State& state) {
     for (int64_t a = 0; a < kTrickleAnswers; ++a) {
       const PendingQuestion pq = std::move(waiting.front());
       waiting.pop_front();
-      scheduler.PostAnswer(pq.session_id,
-                           users[pq.session_id]->Ask(pq.question.first,
-                                                     pq.question.second));
+      Status posted = scheduler.TryPostAnswer(
+          pq.session_id,
+          users[pq.session_id]->Ask(pq.question.first, pq.question.second));
+      if (!posted.ok()) {
+        state.SkipWithError(posted.ToString().c_str());
+        return;
+      }
       std::vector<PendingQuestion> asked = scheduler.Tick();
       if (asked.empty()) {  // that answer finished the session: replace it
-        InteractionResult result = scheduler.Take(pq.session_id);
+        Result<InteractionResult> result = scheduler.TryTake(pq.session_id);
         benchmark::DoNotOptimize(result);
         users[pq.session_id].reset();
         admit();
@@ -671,9 +675,13 @@ void RunCheckpoint(benchmark::State& state, InteractiveAlgorithm& algo) {
   // (cut polyhedra / learned halfspaces), not freshly constructed sessions.
   for (int tick = 0; tick < 2; ++tick) {
     for (const PendingQuestion& pq : scheduler.Tick()) {
-      scheduler.PostAnswer(
+      Status posted = scheduler.TryPostAnswer(
           pq.session_id,
           users[pq.session_id]->Ask(pq.question.first, pq.question.second));
+      if (!posted.ok()) {
+        state.SkipWithError(posted.ToString().c_str());
+        return;
+      }
     }
   }
   Result<std::string> snapshot = scheduler.CheckpointAll();

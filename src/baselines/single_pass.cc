@@ -4,9 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
-#include "common/stopwatch.h"
+#include "core/session_base.h"
 #include "core/snapshot.h"
 #include "geometry/hit_and_run.h"
 #include "user/sampler.h"
@@ -14,8 +13,7 @@
 namespace isrl {
 namespace {
 
-constexpr char kSpSnapshotKind[] = "sp-session";
-constexpr uint32_t kSpSnapshotVersion = 1;
+constexpr SessionFormat kSpFormat{"sp-session", 1, "SinglePass", "protocol"};
 
 // Axis-aligned bounding box of a utility-vector sample, padded by `pad` and
 // clipped to [0,1]. An inner approximation of the true outer rectangle; the
@@ -50,21 +48,16 @@ SinglePass::SinglePass(const Dataset& data, const SinglePassOptions& options)
 // the pass epilogue's certificate checks and the end-of-pass reshuffle
 // (which the old loop ran even before a final, never-executed pass), so
 // stepped episodes are bit-identical to Interact() down to the Rng state.
-class SinglePass::Session final : public InteractionSession {
+class SinglePass::Session final : public SessionBase {
  public:
   Session(SinglePass& owner, const SessionConfig& config)
-      : owner_(owner),
-        trace_(config.trace),
+      : SessionBase(config, owner.options_.max_questions),
+        owner_(owner),
         d_(owner.data_.dim()),
-        max_questions_(
-            config.budget.EffectiveMaxRounds(owner.options_.max_questions)),
         max_lp_(config.budget.max_lp_iterations),
         stop_dist_(2.0 * std::sqrt(static_cast<double>(owner.data_.dim())) *
                    owner.options_.epsilon),
         pad_(0.5 * owner.options_.epsilon),
-        deadline_(Deadline::FromBudget(config.budget)),
-        owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
-                               : std::nullopt),
         e_min_(owner.data_.dim(), 0.0),
         e_max_(owner.data_.dim(), 1.0),
         order_(owner.data_.size()) {
@@ -79,22 +72,32 @@ class SinglePass::Session final : public InteractionSession {
     Advance();
   }
 
-  std::optional<SessionQuestion> NextQuestion() override {
-    if (finished_) return std::nullopt;
-    return question_;
+  /// Restore shell (see Ea::Session). Fixed parameters (d, the stop bound,
+  /// the rectangle padding) are recomputed from the owner; everything
+  /// learned comes from DecodePayload().
+  Session(SinglePass& owner, InteractionTrace* trace)
+      : SessionBase(trace),
+        owner_(owner),
+        d_(owner.data_.dim()),
+        max_lp_(0),
+        stop_dist_(2.0 * std::sqrt(static_cast<double>(owner.data_.dim())) *
+                   owner.options_.epsilon),
+        pad_(0.5 * owner.options_.epsilon),
+        e_min_(owner.data_.dim(), 0.0),
+        e_max_(owner.data_.dim(), 1.0) {}
+
+ private:
+  Owner owner() const override {
+    return {kSpFormat, owner_, owner_.data_, &owner_.rng_};
   }
 
-  void PostAnswer(Answer answer) override {
-    ISRL_CHECK(asking_);
-    asking_ = false;
+  void OnAnswer(Answer answer) override {
     const size_t idx = challenger_;
-    ++result_.rounds;
     ++questions_this_pass_;
     if (answer == Answer::kNoAnswer) {
       // Timed-out question: the stream moves on; the challenger gets
       // another chance next pass.
-      ++result_.no_answers;
-      RecordRound();
+      TraceChampion();
       ++pos_;
       Advance();
       return;
@@ -119,7 +122,7 @@ class SinglePass::Session final : public InteractionSession {
     Replenish();
     if (!particles_.empty()) SampleRect(particles_, pad_, &e_min_, &e_max_);
 
-    RecordRound();
+    TraceChampion();
     // Mid-pass: the cheap particle certificate only (the LP rectangle is
     // reserved for pass boundaries).
     if (result_.rounds % owner_.options_.stop_check_every == 0 &&
@@ -132,196 +135,8 @@ class SinglePass::Session final : public InteractionSession {
     Advance();
   }
 
-  void Cancel() override {
-    if (finished_) return;
-    result_.best_index = champion_;
-    result_.termination = Termination::kBudgetExhausted;
-    result_.seconds += watch_.ElapsedSeconds();
-    asking_ = false;
-    finished_ = true;
-  }
+  size_t BestSoFar() const override { return champion_; }
 
-  bool Finished() const override { return finished_; }
-
-  InteractionResult Finish() override {
-    ISRL_CHECK(finished_);
-    InteractionResult result = result_;
-    result.converged = result.termination == Termination::kConverged;
-    return result;
-  }
-
-  // ---- Durability (DESIGN.md §14). ---------------------------------------
-
-  /// Tag ctor for RestoreSession (see Ea::Session::RestoreTag). Fixed
-  /// parameters (d, the stop bound, the rectangle padding) are recomputed
-  /// from the owner; everything learned comes from Decode().
-  struct RestoreTag {};
-  Session(SinglePass& owner, InteractionTrace* trace, RestoreTag)
-      : owner_(owner),
-        trace_(trace),
-        d_(owner.data_.dim()),
-        max_questions_(0),
-        max_lp_(0),
-        stop_dist_(2.0 * std::sqrt(static_cast<double>(owner.data_.dim())) *
-                   owner.options_.epsilon),
-        pad_(0.5 * owner.options_.epsilon),
-        owned_rng_(std::nullopt),
-        e_min_(owner.data_.dim(), 0.0),
-        e_max_(owner.data_.dim(), 1.0) {}
-
-  Result<std::string> SaveState() const override {
-    snapshot::Writer w;
-    snapshot::SessionCore core;
-    core.algorithm = owner_.name();
-    core.data_size = owner_.data_.size();
-    core.data_dim = owner_.data_.dim();
-    core.result = result_;
-    if (!finished_) core.result.seconds += watch_.ElapsedSeconds();
-    core.max_rounds = max_questions_;
-    core.deadline = deadline_;
-    core.stage =
-        finished_ ? snapshot::kStageFinished : snapshot::kStageAsking;
-    core.question = question_;
-    core.has_rng = true;
-    core.rng = rng();
-    core.trace = trace_;
-    snapshot::EncodeSessionCore(core, &w);
-    w.U64(max_lp_);
-    w.U64(h_.size());
-    for (const LearnedHalfspace& lh : h_) {
-      snapshot::EncodeLearnedHalfspace(lh, &w);
-    }
-    w.U64(particles_.size());
-    for (const Vec& u : particles_) snapshot::EncodeVec(u, &w);
-    snapshot::EncodeVec(e_min_, &w);
-    snapshot::EncodeVec(e_max_, &w);
-    snapshot::EncodeIndexVector(order_, &w);
-    w.U64(champion_);
-    w.U64(pass_);
-    w.U64(pos_);
-    w.U64(questions_this_pass_);
-    w.U64(challenger_);
-    w.Bool(certified_);
-    w.Bool(stuck_);
-    return snapshot::WrapFrame(kSpSnapshotKind, kSpSnapshotVersion, w.Take());
-  }
-
-  Status Decode(std::string_view payload) {
-    snapshot::Reader r(payload);
-    snapshot::SessionCore core;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
-    ISRL_RETURN_IF_ERROR(snapshot::ValidateSessionCore(
-        core, owner_.name(), owner_.data_.size(), owner_.data_.dim()));
-    if (!core.has_rng) {
-      return Status::InvalidArgument("SinglePass snapshot: missing rng state");
-    }
-    if (core.stage == snapshot::kStageScoring) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: scoring stage is not part of the protocol");
-    }
-    const size_t n = owner_.data_.size();
-    const uint64_t max_lp = r.U64();
-    const uint64_t num_h = r.U64();
-    if (!r.failed() && num_h > snapshot::kMaxElements) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: implausible H size");
-    }
-    std::vector<LearnedHalfspace> h;
-    for (uint64_t i = 0; i < num_h && !r.failed(); ++i) {
-      LearnedHalfspace lh;
-      ISRL_RETURN_IF_ERROR(snapshot::DecodeLearnedHalfspace(&r, &lh, n));
-      if (lh.h.normal.dim() != d_) {
-        return Status::InvalidArgument(
-            "SinglePass snapshot: halfspace dimension mismatch");
-      }
-      h.push_back(std::move(lh));
-    }
-    const uint64_t num_particles = r.U64();
-    if (!r.failed() && num_particles > snapshot::kMaxElements) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: implausible particle count");
-    }
-    std::vector<Vec> particles;
-    for (uint64_t i = 0; i < num_particles && !r.failed(); ++i) {
-      Vec u;
-      ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &u));
-      if (u.dim() != d_) {
-        return Status::InvalidArgument(
-            "SinglePass snapshot: particle dimension mismatch");
-      }
-      particles.push_back(std::move(u));
-    }
-    Vec e_min, e_max;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &e_min));
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &e_max));
-    std::vector<size_t> order;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeIndexVector(&r, &order, n));
-    const uint64_t champion = r.U64();
-    const uint64_t pass = r.U64();
-    const uint64_t pos = r.U64();
-    const uint64_t questions_this_pass = r.U64();
-    const uint64_t challenger = r.U64();
-    const bool certified = r.Bool();
-    const bool stuck = r.Bool();
-    ISRL_RETURN_IF_ERROR(r.status());
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: trailing payload bytes");
-    }
-    if (e_min.dim() != d_ || e_max.dim() != d_) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: rectangle dimension mismatch");
-    }
-    // Advance() walks order_[pos_] directly, so the stream order must be a
-    // genuine permutation of the dataset and the cursor must stay within
-    // one-past-the-end.
-    if (order.size() != n) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: stream order size mismatch");
-    }
-    std::vector<bool> seen(n, false);
-    for (size_t idx : order) {
-      if (seen[idx]) {
-        return Status::InvalidArgument(
-            "SinglePass snapshot: stream order is not a permutation");
-      }
-      seen[idx] = true;
-    }
-    if (champion >= n || challenger >= n || pos > n) {
-      return Status::InvalidArgument(
-          "SinglePass snapshot: stream cursor out of range");
-    }
-
-    result_ = core.result;
-    max_questions_ = static_cast<size_t>(core.max_rounds);
-    max_lp_ = static_cast<size_t>(max_lp);
-    deadline_ = core.deadline;
-    owned_rng_ = core.rng;
-    if (core.has_trace && trace_ != nullptr) {
-      trace_->RestoreHistory(std::move(core.trace_max_regret),
-                             std::move(core.trace_seconds),
-                             std::move(core.trace_best_index));
-    }
-    h_ = std::move(h);
-    particles_ = std::move(particles);
-    e_min_ = std::move(e_min);
-    e_max_ = std::move(e_max);
-    order_ = std::move(order);
-    champion_ = static_cast<size_t>(champion);
-    pass_ = static_cast<size_t>(pass);
-    pos_ = static_cast<size_t>(pos);
-    questions_this_pass_ = static_cast<size_t>(questions_this_pass);
-    challenger_ = static_cast<size_t>(challenger);
-    certified_ = certified;
-    stuck_ = stuck;
-    question_ = core.question;
-    finished_ = core.stage == snapshot::kStageFinished;
-    asking_ = core.stage == snapshot::kStageAsking;
-    watch_.Restart();
-    return Status::Ok();
-  }
-
- private:
   /// Walks the stream cursors to the next askable challenger, running pass
   /// epilogues (certificates, stuck detection, reshuffle) along the way —
   /// the exact control flow of the old nested loops.
@@ -337,21 +152,17 @@ class SinglePass::Session final : public InteractionSession {
           ++pos_;
           continue;
         }
-        if (result_.rounds >= max_questions_ || deadline_.Expired()) break;
+        if (result_.rounds >= max_rounds_ || deadline_.Expired()) break;
         if (ChallengerImpossible(idx)) {
           ++pos_;
           continue;
         }
         challenger_ = idx;
-        question_.first = owner_.data_.point(idx);
-        question_.second = owner_.data_.point(champion_);
-        question_.pair = Question{idx, champion_};
-        question_.synthetic = false;
-        asking_ = true;
+        Ask(Question{idx, champion_});
         return;
       }
       // Pass epilogue (also reached on a budget/deadline inner break).
-      if (result_.rounds >= max_questions_ || deadline_.Expired()) {
+      if (result_.rounds >= max_rounds_ || deadline_.Expired()) {
         Terminate();
         return;
       }
@@ -436,45 +247,132 @@ class SinglePass::Session final : public InteractionSession {
     return Distance(geo.e_min, geo.e_max) <= stop_dist_;
   }
 
-  void RecordRound() {
-    if (trace_ == nullptr) return;
-    const double elapsed = watch_.ElapsedSeconds();
-    trace_->Record(champion_, particles_, elapsed);
-    watch_.Restart();
-    result_.seconds += elapsed;
+  void TraceChampion() {
+    if (trace_ != nullptr) {
+      TraceRound(watch_.ElapsedSeconds(), champion_, particles_);
+    }
   }
 
   void Terminate() {
-    result_.best_index = champion_;
-    if (certified_) {
-      result_.termination = result_.dropped_answers > 0
-                                ? Termination::kDegraded
-                                : Termination::kConverged;
-    } else if (stuck_) {
-      result_.termination = Termination::kDegraded;
-    } else {
-      // max_questions, max_passes, or the deadline ran out first.
-      result_.termination = Termination::kBudgetExhausted;
-    }
-    result_.seconds += watch_.ElapsedSeconds();
-    asking_ = false;
-    finished_ = true;
+    // Neither certified nor stuck: max_questions, max_passes, or the
+    // deadline ran out first.
+    EndEpisode(champion_, certified_ ? Certified()
+                          : stuck_   ? Termination::kDegraded
+                                     : Termination::kBudgetExhausted);
   }
 
-  Rng& rng() { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-  const Rng& rng() const { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
+  void EncodePayload(snapshot::Writer* w) const override {
+    w->U64(max_lp_);
+    w->U64(h_.size());
+    for (const LearnedHalfspace& lh : h_) {
+      snapshot::EncodeLearnedHalfspace(lh, w);
+    }
+    w->U64(particles_.size());
+    for (const Vec& u : particles_) snapshot::EncodeVec(u, w);
+    snapshot::EncodeVec(e_min_, w);
+    snapshot::EncodeVec(e_max_, w);
+    snapshot::EncodeIndexVector(order_, w);
+    w->U64(champion_);
+    w->U64(pass_);
+    w->U64(pos_);
+    w->U64(questions_this_pass_);
+    w->U64(challenger_);
+    w->Bool(certified_);
+    w->Bool(stuck_);
+  }
+
+  Status DecodePayload(snapshot::Reader* r, SessionStage /*stage*/,
+                       const SessionConfig& /*config*/) override {
+    const size_t n = owner_.data_.size();
+    const uint64_t max_lp = r->U64();
+    const uint64_t num_h = r->U64();
+    if (!r->failed() && num_h > snapshot::kMaxElements) {
+      return Status::InvalidArgument(
+          "SinglePass snapshot: implausible H size");
+    }
+    std::vector<LearnedHalfspace> h;
+    for (uint64_t i = 0; i < num_h && !r->failed(); ++i) {
+      LearnedHalfspace lh;
+      ISRL_RETURN_IF_ERROR(snapshot::DecodeLearnedHalfspace(r, &lh, n));
+      if (lh.h.normal.dim() != d_) {
+        return Status::InvalidArgument(
+            "SinglePass snapshot: halfspace dimension mismatch");
+      }
+      h.push_back(std::move(lh));
+    }
+    const uint64_t num_particles = r->U64();
+    if (!r->failed() && num_particles > snapshot::kMaxElements) {
+      return Status::InvalidArgument(
+          "SinglePass snapshot: implausible particle count");
+    }
+    std::vector<Vec> particles;
+    for (uint64_t i = 0; i < num_particles && !r->failed(); ++i) {
+      Vec u;
+      ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &u));
+      if (u.dim() != d_) {
+        return Status::InvalidArgument(
+            "SinglePass snapshot: particle dimension mismatch");
+      }
+      particles.push_back(std::move(u));
+    }
+    Vec e_min, e_max;
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &e_min));
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &e_max));
+    std::vector<size_t> order;
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeIndexVector(r, &order, n));
+    const uint64_t champion = r->U64();
+    const uint64_t pass = r->U64();
+    const uint64_t pos = r->U64();
+    const uint64_t questions_this_pass = r->U64();
+    const uint64_t challenger = r->U64();
+    const bool certified = r->Bool();
+    const bool stuck = r->Bool();
+    ISRL_RETURN_IF_ERROR(PayloadEnd(*r));
+    if (e_min.dim() != d_ || e_max.dim() != d_) {
+      return Status::InvalidArgument(
+          "SinglePass snapshot: rectangle dimension mismatch");
+    }
+    // Advance() walks order_[pos_] directly, so the stream order must be a
+    // genuine permutation of the dataset and the cursor must stay within
+    // one-past-the-end.
+    if (order.size() != n) {
+      return Status::InvalidArgument(
+          "SinglePass snapshot: stream order size mismatch");
+    }
+    std::vector<bool> seen(n, false);
+    for (size_t idx : order) {
+      if (seen[idx]) {
+        return Status::InvalidArgument(
+            "SinglePass snapshot: stream order is not a permutation");
+      }
+      seen[idx] = true;
+    }
+    if (champion >= n || challenger >= n || pos > n) {
+      return Status::InvalidArgument(
+          "SinglePass snapshot: stream cursor out of range");
+    }
+
+    max_lp_ = static_cast<size_t>(max_lp);
+    h_ = std::move(h);
+    particles_ = std::move(particles);
+    e_min_ = std::move(e_min);
+    e_max_ = std::move(e_max);
+    order_ = std::move(order);
+    champion_ = static_cast<size_t>(champion);
+    pass_ = static_cast<size_t>(pass);
+    pos_ = static_cast<size_t>(pos);
+    questions_this_pass_ = static_cast<size_t>(questions_this_pass);
+    challenger_ = static_cast<size_t>(challenger);
+    certified_ = certified;
+    stuck_ = stuck;
+    return Status::Ok();
+  }
 
   SinglePass& owner_;
-  InteractionTrace* trace_;
-  InteractionResult result_;
-  Stopwatch watch_;
   size_t d_;
-  size_t max_questions_;
   size_t max_lp_;
   double stop_dist_;
   double pad_;
-  Deadline deadline_;
-  std::optional<Rng> owned_rng_;
 
   std::vector<LearnedHalfspace> h_;
   std::vector<Vec> particles_;
@@ -487,10 +385,6 @@ class SinglePass::Session final : public InteractionSession {
   size_t challenger_ = 0;
   bool certified_ = false;
   bool stuck_ = false;
-
-  SessionQuestion question_;
-  bool asking_ = false;
-  bool finished_ = false;
 };
 
 std::unique_ptr<InteractionSession> SinglePass::StartSession(
@@ -500,13 +394,8 @@ std::unique_ptr<InteractionSession> SinglePass::StartSession(
 
 Result<std::unique_ptr<InteractionSession>> SinglePass::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
-  ISRL_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      snapshot::UnwrapFrame(kSpSnapshotKind, kSpSnapshotVersion, bytes));
-  auto session =
-      std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
-  ISRL_RETURN_IF_ERROR(session->Decode(payload));
-  return std::unique_ptr<InteractionSession>(std::move(session));
+  return SessionBase::Restore(std::make_unique<Session>(*this, config.trace),
+                              bytes, config);
 }
 
 }  // namespace isrl

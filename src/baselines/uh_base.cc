@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/stopwatch.h"
+#include "core/session_base.h"
 #include "core/snapshot.h"
 #include "geometry/halfspace.h"
 
 namespace isrl {
 
 namespace {
-constexpr char kUhSnapshotKind[] = "uh-session";
-constexpr uint32_t kUhSnapshotVersion = 1;
+constexpr SessionFormat kUhFormat{"uh-session", 1, "UH", "UH protocol"};
 }  // namespace
 
 UhBase::UhBase(const Dataset& data, const UhOptions& options)
@@ -82,17 +81,13 @@ void UhBase::FullPrune(std::vector<size_t>* candidates,
 // The hardened UH loop inverted into a sans-IO state machine (DESIGN.md
 // §13). Prepare() is the old loop top — budget/deadline guard, best
 // recompute, resolution check, question selection with the FullPrune
-// fallback — and PostAnswer() the loop body, in the original order, so
+// fallback — and OnAnswer() the loop body, in the original order, so
 // stepped episodes are bit-identical to Interact().
-class UhBase::Session final : public InteractionSession {
+class UhBase::Session final : public SessionBase {
  public:
   Session(UhBase& owner, const SessionConfig& config)
-      : owner_(owner),
-        trace_(config.trace),
-        max_rounds_(config.budget.EffectiveMaxRounds(owner.options_.max_rounds)),
-        deadline_(Deadline::FromBudget(config.budget)),
-        owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
-                               : std::nullopt),
+      : SessionBase(config, owner.options_.max_rounds),
+        owner_(owner),
         range_(Polyhedron::UnitSimplex(owner.data_.dim())),
         candidates_(owner.data_.size()) {
     std::iota(candidates_.begin(), candidates_.end(), 0);
@@ -100,24 +95,26 @@ class UhBase::Session final : public InteractionSession {
     Prepare();
   }
 
-  std::optional<SessionQuestion> NextQuestion() override {
-    if (finished_) return std::nullopt;
-    return question_;
+  /// Restore shell (see Ea::Session).
+  Session(UhBase& owner, InteractionTrace* trace)
+      : SessionBase(trace),
+        owner_(owner),
+        range_(Polyhedron::UnitSimplex(owner.data_.dim())) {}
+
+ private:
+  Owner owner() const override {
+    return {kUhFormat, owner_, owner_.data_, &owner_.rng_};
   }
 
-  void PostAnswer(Answer answer) override {
-    ISRL_CHECK(asking_);
-    asking_ = false;
-    const Question q = question_.pair;
-    ++result_.rounds;
+  void OnAnswer(Answer answer) override {
     if (answer == Answer::kNoAnswer) {
       // Timed-out question: learn nothing (selection is stochastic, so the
       // next round tries a different pair).
-      ++result_.no_answers;
-      RecordRound();
+      TraceRange(best_, range_);
       Prepare();
       return;
     }
+    const Question q = question_.pair;
     const bool prefers_i = answer == Answer::kFirst;
     const size_t winner = prefers_i ? q.i : q.j;
     const size_t loser = prefers_i ? q.j : q.i;
@@ -126,7 +123,7 @@ class UhBase::Session final : public InteractionSession {
       // Contradictory answer (noisy user): dropping it — the minimal
       // most-recent conflicting suffix — keeps R non-empty.
       ++result_.dropped_answers;
-      RecordRound();
+      TraceRange(best_, range_);
       Prepare();
       return;
     }
@@ -134,122 +131,12 @@ class UhBase::Session final : public InteractionSession {
     owner_.PruneCandidates(&candidates_, winner, range_);
     best_ = owner_.data_.TopIndex(range_.Centroid());
     owner_.PruneCandidates(&candidates_, best_, range_);
-    RecordRound();
+    TraceRange(best_, range_);
     Prepare();
   }
 
-  void Cancel() override {
-    if (finished_) return;
-    result_.best_index = best_;
-    result_.termination = Termination::kBudgetExhausted;
-    result_.seconds += watch_.ElapsedSeconds();
-    asking_ = false;
-    finished_ = true;
-  }
+  size_t BestSoFar() const override { return best_; }
 
-  bool Finished() const override { return finished_; }
-
-  InteractionResult Finish() override {
-    ISRL_CHECK(finished_);
-    InteractionResult result = result_;
-    result.converged = result.termination == Termination::kConverged;
-    return result;
-  }
-
-  // ---- Durability (DESIGN.md §14). ---------------------------------------
-
-  /// Tag ctor for RestoreSession (see Ea::Session::RestoreTag).
-  struct RestoreTag {};
-  Session(UhBase& owner, InteractionTrace* trace, RestoreTag)
-      : owner_(owner),
-        trace_(trace),
-        max_rounds_(0),
-        owned_rng_(std::nullopt),
-        range_(Polyhedron::UnitSimplex(owner.data_.dim())) {}
-
-  Result<std::string> SaveState() const override {
-    snapshot::Writer w;
-    snapshot::SessionCore core;
-    core.algorithm = owner_.name();
-    core.data_size = owner_.data_.size();
-    core.data_dim = owner_.data_.dim();
-    core.result = result_;
-    if (!finished_) core.result.seconds += watch_.ElapsedSeconds();
-    core.max_rounds = max_rounds_;
-    core.deadline = deadline_;
-    core.stage =
-        finished_ ? snapshot::kStageFinished : snapshot::kStageAsking;
-    core.question = question_;
-    core.has_rng = true;
-    core.rng = rng();
-    core.trace = trace_;
-    snapshot::EncodeSessionCore(core, &w);
-    snapshot::EncodePolyhedron(range_, &w);
-    snapshot::EncodeIndexVector(candidates_, &w);
-    w.U64(best_);
-    w.Bool(resolved_);
-    return snapshot::WrapFrame(kUhSnapshotKind, kUhSnapshotVersion, w.Take());
-  }
-
-  Status Decode(std::string_view payload) {
-    snapshot::Reader r(payload);
-    snapshot::SessionCore core;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
-    ISRL_RETURN_IF_ERROR(snapshot::ValidateSessionCore(
-        core, owner_.name(), owner_.data_.size(), owner_.data_.dim()));
-    if (!core.has_rng) {
-      return Status::InvalidArgument("UH snapshot: missing rng state");
-    }
-    if (core.stage == snapshot::kStageScoring) {
-      return Status::InvalidArgument(
-          "UH snapshot: scoring stage is not part of the UH protocol");
-    }
-    const size_t n = owner_.data_.size();
-    Result<Polyhedron> range = snapshot::DecodePolyhedron(&r);
-    ISRL_RETURN_IF_ERROR(range.status());
-    if (range->dim() != owner_.data_.dim()) {
-      return Status::InvalidArgument(
-          "UH snapshot: polyhedron dimension does not match the dataset");
-    }
-    std::vector<size_t> candidates;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeIndexVector(&r, &candidates, n));
-    const uint64_t best = r.U64();
-    const bool resolved = r.Bool();
-    ISRL_RETURN_IF_ERROR(r.status());
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("UH snapshot: trailing payload bytes");
-    }
-    if (best >= n) {
-      return Status::InvalidArgument(
-          "UH snapshot: recommendation index out of dataset range");
-    }
-    if (core.stage == snapshot::kStageAsking &&
-        (core.question.pair.i >= n || core.question.pair.j >= n)) {
-      return Status::InvalidArgument(
-          "UH snapshot: in-flight question index out of dataset range");
-    }
-
-    result_ = core.result;
-    max_rounds_ = static_cast<size_t>(core.max_rounds);
-    deadline_ = core.deadline;
-    owned_rng_ = core.rng;
-    if (core.has_trace && trace_ != nullptr) {
-      trace_->RestoreHistory(std::move(core.trace_max_regret),
-                             std::move(core.trace_seconds),
-                             std::move(core.trace_best_index));
-    }
-    range_ = std::move(range.value());
-    candidates_ = std::move(candidates);
-    best_ = static_cast<size_t>(best);
-    resolved_ = resolved;
-    question_ = core.question;
-    finished_ = core.stage == snapshot::kStageFinished;
-    asking_ = core.stage == snapshot::kStageAsking;
-    watch_.Restart();
-    return Status::Ok();
-  }
-
- private:
   void Prepare() {
     if (result_.rounds >= max_rounds_ || deadline_.Expired()) {
       Terminate();
@@ -279,61 +166,51 @@ class UhBase::Session final : public InteractionSession {
         return;
       }
     }
-    question_.first = owner_.data_.point(q->i);
-    question_.second = owner_.data_.point(q->j);
-    question_.pair = *q;
-    question_.synthetic = false;
-    asking_ = true;
-  }
-
-  void RecordRound() {
-    if (trace_ == nullptr) return;
-    const double elapsed = watch_.ElapsedSeconds();
-    std::vector<Vec> consistent;
-    if (!range_.IsEmpty()) {
-      consistent.reserve(trace_->regret_samples());
-      for (size_t s = 0; s < trace_->regret_samples(); ++s) {
-        consistent.push_back(range_.SampleInterior(trace_->rng()));
-      }
-    }
-    trace_->Record(best_, consistent, elapsed);
-    watch_.Restart();
-    result_.seconds += elapsed;
+    Ask(*q);
   }
 
   void Terminate() {
-    result_.best_index = best_;
-    if (resolved_) {
-      result_.termination = result_.dropped_answers > 0
-                                ? Termination::kDegraded
-                                : Termination::kConverged;
-    } else {
-      result_.termination = Termination::kBudgetExhausted;
-    }
-    result_.seconds += watch_.ElapsedSeconds();
-    asking_ = false;
-    finished_ = true;
+    EndEpisode(best_,
+               resolved_ ? Certified() : Termination::kBudgetExhausted);
   }
 
-  Rng& rng() { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-  const Rng& rng() const { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
+  void EncodePayload(snapshot::Writer* w) const override {
+    snapshot::EncodePolyhedron(range_, w);
+    snapshot::EncodeIndexVector(candidates_, w);
+    w->U64(best_);
+    w->Bool(resolved_);
+  }
+
+  Status DecodePayload(snapshot::Reader* r, SessionStage /*stage*/,
+                       const SessionConfig& /*config*/) override {
+    const size_t n = owner_.data_.size();
+    Result<Polyhedron> range = snapshot::DecodePolyhedron(r);
+    ISRL_RETURN_IF_ERROR(range.status());
+    if (range->dim() != owner_.data_.dim()) {
+      return Status::InvalidArgument(
+          "UH snapshot: polyhedron dimension does not match the dataset");
+    }
+    std::vector<size_t> candidates;
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeIndexVector(r, &candidates, n));
+    const uint64_t best = r->U64();
+    const bool resolved = r->Bool();
+    ISRL_RETURN_IF_ERROR(PayloadEnd(*r));
+    if (best >= n) {
+      return Status::InvalidArgument(
+          "UH snapshot: recommendation index out of dataset range");
+    }
+    range_ = std::move(range.value());
+    candidates_ = std::move(candidates);
+    best_ = static_cast<size_t>(best);
+    resolved_ = resolved;
+    return Status::Ok();
+  }
 
   UhBase& owner_;
-  InteractionTrace* trace_;
-  InteractionResult result_;
-  Stopwatch watch_;
-  size_t max_rounds_;
-  Deadline deadline_;
-  std::optional<Rng> owned_rng_;
-
   Polyhedron range_;
   std::vector<size_t> candidates_;
   size_t best_ = 0;
   bool resolved_ = false;
-
-  SessionQuestion question_;
-  bool asking_ = false;
-  bool finished_ = false;
 };
 
 std::unique_ptr<InteractionSession> UhBase::StartSession(
@@ -343,13 +220,8 @@ std::unique_ptr<InteractionSession> UhBase::StartSession(
 
 Result<std::unique_ptr<InteractionSession>> UhBase::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
-  ISRL_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      snapshot::UnwrapFrame(kUhSnapshotKind, kUhSnapshotVersion, bytes));
-  auto session =
-      std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
-  ISRL_RETURN_IF_ERROR(session->Decode(payload));
-  return std::unique_ptr<InteractionSession>(std::move(session));
+  return SessionBase::Restore(std::make_unique<Session>(*this, config.trace),
+                              bytes, config);
 }
 
 }  // namespace isrl

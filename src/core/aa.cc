@@ -4,18 +4,14 @@
 #include <cmath>
 #include <optional>
 
-#include "audit/audit.h"
-#include "audit/checkers.h"
-#include "common/stopwatch.h"
 #include "core/snapshot.h"
 #include "geometry/hit_and_run.h"
 
 namespace isrl {
 
 namespace {
-constexpr char kAaSnapshotKind[] = "aa-session";
 // v2 added the pinned model's registry version next to its fingerprint.
-constexpr uint32_t kAaSnapshotVersion = 2;
+constexpr SessionFormat kAaFormat{"aa-session", 2, "AA", nullptr};
 }  // namespace
 
 Aa::Aa(const Dataset& data, const AaOptions& options)
@@ -157,32 +153,24 @@ TrainStats Aa::Train(const std::vector<Vec>& training_utilities) {
 }
 
 // Algorithm 4 inverted into a sans-IO state machine (DESIGN.md §13). Same
-// structure as Ea::Session: Prepare() is the old loop top, PostAnswer() the
+// structure as Ea::Session: Prepare() is the old loop top, OnAnswer() the
 // loop body, with every LP/RNG call in the original order so stepped
 // episodes are bit-identical to Interact().
-class Aa::Session final : public InteractionSession {
+class Aa::Session final : public RlSession {
  public:
   Session(Aa& owner, const SessionConfig& config)
-      : owner_(owner),
-        trace_(config.trace),
+      : RlSession(owner, config, owner.options_.max_rounds, "Aa.StartSession"),
+        owner_(owner),
         stop_dist_(owner.StopDistance()),
-        max_rounds_(config.budget.EffectiveMaxRounds(owner.options_.max_rounds)),
-        max_lp_(config.budget.max_lp_iterations),
-        deadline_(Deadline::FromBudget(config.budget)),
-        owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
-                               : std::nullopt) {
-    model_ = owner.ModelFor(config);
+        max_lp_(config.budget.max_lp_iterations) {
     geo_ = ComputeAaGeometry(owner_.data_.dim(), h_, max_lp_);
     if (!geo_.feasible) {
       // The empty-H geometry is the unit simplex itself; failure means the
       // LP budget is too tight even for the trivial model. Recommend
       // something sensible and report the abort instead of crashing.
       const size_t d = owner_.data_.dim();
-      result_.best_index = owner_.data_.TopIndex(Vec(d, 1.0 / d));
-      result_.termination = Termination::kAborted;
       result_.status = Status::Internal("initial AA geometry LP failed");
-      result_.seconds = watch_.ElapsedSeconds();
-      finished_ = true;
+      EndEpisode(owner_.data_.TopIndex(Vec(d, 1.0 / d)), Termination::kAborted);
       return;
     }
     state_ = EncodeAaState(geo_);
@@ -192,27 +180,27 @@ class Aa::Session final : public InteractionSession {
     Prepare();
   }
 
-  std::optional<SessionQuestion> NextQuestion() override {
-    if (finished_) return std::nullopt;
-    if (scoring_pending_) {
-      // No driver scored the candidates for us: score them here. Same
-      // matrix, same weights, same argmax — bit-identical either way.
-      TakePick(model_->Score(pending_features_).ArgMax());
-    }
-    return question_;
+  /// Restore shell (see Ea::Session).
+  Session(Aa& owner, InteractionTrace* trace)
+      : RlSession(trace), owner_(owner), stop_dist_(owner.StopDistance()) {}
+
+  std::optional<Vec> HarvestUtility() const override {
+    if (!geo_.feasible) return std::nullopt;
+    return (geo_.e_min + geo_.e_max) / 2.0;
   }
 
-  void PostAnswer(Answer answer) override {
-    ISRL_CHECK(asking_);
-    asking_ = false;
-    ++result_.rounds;
+ private:
+  Owner owner() const override {
+    return {kAaFormat, owner_, owner_.data_, &owner_.rng_};
+  }
+
+  void OnAnswer(Answer answer) override {
     if (answer == Answer::kNoAnswer) {
       // Timed-out question: learn nothing; re-sample the action pool so the
       // next round asks a different question.
-      ++result_.no_answers;
       actions_ = BuildAaActionSpace(owner_.data_, h_, geo_,
                                     owner_.options_.actions, rng());
-      RecordRound({});
+      TraceBest({});
       Prepare();
       return;
     }
@@ -237,12 +225,9 @@ class Aa::Session final : public InteractionSession {
       }
       if (!next_geo.feasible) {
         // Even H = ∅ failed: the LP itself is broken. Abort gracefully.
-        result_.best_index = best_;
-        result_.termination = Termination::kAborted;
         result_.status = Status::Internal("AA geometry LP failed on empty H");
-        result_.seconds += watch_.ElapsedSeconds();
-        RecordRound({});
-        finished_ = true;
+        EndEpisode(best_, Termination::kAborted);
+        TraceBest({});
         return;
       }
     }
@@ -258,137 +243,77 @@ class Aa::Session final : public InteractionSession {
       for (const LearnedHalfspace& learned : h_) cuts.push_back(learned.h);
       std::vector<Vec> consistent = HitAndRunSample(
           cuts, geo_.inner.center, trace_->regret_samples(), trace_->rng());
-      RecordRound(consistent);
+      TraceBest(consistent);
     }
     Prepare();
   }
 
-  void Cancel() override {
-    if (finished_) return;
-    result_.best_index = best_;
-    result_.termination = Termination::kBudgetExhausted;
-    result_.seconds += watch_.ElapsedSeconds();
-    scoring_pending_ = false;
-    asking_ = false;
-    finished_ = true;
+  size_t BestSoFar() const override { return best_; }
+
+  Matrix CandidateFeatures() const override {
+    return owner_.FeaturizeCandidatesMatrix(state_, actions_);
   }
 
-  bool Finished() const override { return finished_; }
+  Question Candidate(size_t index) const override { return actions_[index].q; }
 
-  InteractionResult Finish() override {
-    ISRL_CHECK(finished_);
-    InteractionResult result = result_;
-    result.converged = result.termination == Termination::kConverged;
-    return result;
-  }
-
-  const Matrix* PendingCandidateFeatures() const override {
-    return scoring_pending_ ? &pending_features_ : nullptr;
-  }
-
-  const nn::ModelSnapshot* ScoringModel() const override {
-    return scoring_pending_ ? model_.get() : nullptr;
-  }
-
-  void PostCandidateScores(const double* scores, size_t count) override {
-    ISRL_CHECK(scoring_pending_);
-    ISRL_CHECK_EQ(count, pending_features_.rows());
-    size_t pick = 0;
-    for (size_t i = 1; i < count; ++i) {
-      if (scores[i] > scores[pick]) pick = i;
+  void Prepare() {
+    const double distance = Distance(geo_.e_min, geo_.e_max);
+    if (distance <= stop_dist_) {
+      EndEpisode(best_, Certified());
+    } else if (actions_.empty()) {
+      // No splitting pair left although the rectangle is still wide: the
+      // sampler is exhausted. Best-so-far under a degraded certificate.
+      EndEpisode(best_, Termination::kDegraded);
+    } else if (!(distance > stop_dist_) || result_.rounds >= max_rounds_ ||
+               deadline_.Expired()) {  // a NaN distance stops here too
+      EndEpisode(best_, Termination::kBudgetExhausted);
+    } else {
+      StageScoring();
     }
-    TakePick(pick);
   }
 
-  uint64_t ModelVersion() const override { return model_->version(); }
-
-  std::optional<Vec> HarvestUtility() const override {
-    if (!geo_.feasible) return std::nullopt;
-    return (geo_.e_min + geo_.e_max) / 2.0;
+  void TraceBest(const std::vector<Vec>& consistent) {
+    if (trace_ != nullptr) TraceRound(watch_.ElapsedSeconds(), best_, consistent);
   }
 
-  // ---- Durability (DESIGN.md §14). ---------------------------------------
-
-  /// Tag ctor for RestoreSession (see Ea::Session::RestoreTag).
-  struct RestoreTag {};
-  Session(Aa& owner, InteractionTrace* trace, RestoreTag)
-      : owner_(owner),
-        trace_(trace),
-        stop_dist_(owner.StopDistance()),
-        max_rounds_(0),
-        max_lp_(0),
-        owned_rng_(std::nullopt) {}
-
-  Result<std::string> SaveState() const override {
-    snapshot::Writer w;
-    snapshot::SessionCore core;
-    core.algorithm = owner_.name();
-    core.data_size = owner_.data_.size();
-    core.data_dim = owner_.data_.dim();
-    core.result = result_;
-    if (!finished_) core.result.seconds += watch_.ElapsedSeconds();
-    core.max_rounds = max_rounds_;
-    core.deadline = deadline_;
-    core.stage = finished_ ? snapshot::kStageFinished
-                           : (asking_ ? snapshot::kStageAsking
-                                      : snapshot::kStageScoring);
-    core.question = question_;
-    core.has_rng = true;
-    core.rng = rng();
-    core.trace = trace_;
-    snapshot::EncodeSessionCore(core, &w);
-    w.U64(model_->fingerprint());
-    w.U64(model_->version());
-    w.U64(max_lp_);
-    w.U64(h_.size());
+  void EncodePayload(snapshot::Writer* w) const override {
+    EncodeModel(w);
+    w->U64(max_lp_);
+    w->U64(h_.size());
     for (const LearnedHalfspace& lh : h_) {
-      snapshot::EncodeLearnedHalfspace(lh, &w);
+      snapshot::EncodeLearnedHalfspace(lh, w);
     }
-    w.Bool(geo_.feasible);
-    snapshot::EncodeVec(geo_.inner.center, &w);
-    w.F64(geo_.inner.radius);
-    snapshot::EncodeVec(geo_.e_min, &w);
-    snapshot::EncodeVec(geo_.e_max, &w);
-    snapshot::EncodeVec(state_, &w);
-    w.U64(actions_.size());
+    w->Bool(geo_.feasible);
+    snapshot::EncodeVec(geo_.inner.center, w);
+    w->F64(geo_.inner.radius);
+    snapshot::EncodeVec(geo_.e_min, w);
+    snapshot::EncodeVec(geo_.e_max, w);
+    snapshot::EncodeVec(state_, w);
+    w->U64(actions_.size());
     for (const AaAction& a : actions_) {
-      w.U64(a.q.i);
-      w.U64(a.q.j);
-      w.F64(a.balance);
-      w.F64(a.alignment);
-      w.F64(a.center_dist);
+      w->U64(a.q.i);
+      w->U64(a.q.j);
+      w->F64(a.balance);
+      w->F64(a.alignment);
+      w->F64(a.center_dist);
     }
-    w.U64(best_);
-    return snapshot::WrapFrame(kAaSnapshotKind, kAaSnapshotVersion, w.Take());
+    w->U64(best_);
   }
 
-  Status Decode(std::string_view payload, const SessionConfig& config) {
-    snapshot::Reader r(payload);
-    snapshot::SessionCore core;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
-    ISRL_RETURN_IF_ERROR(snapshot::ValidateSessionCore(
-        core, owner_.name(), owner_.data_.size(), owner_.data_.dim()));
-    if (!core.has_rng) {
-      return Status::InvalidArgument("AA snapshot: missing rng state");
-    }
-    const uint64_t fingerprint = r.U64();
-    const uint64_t model_version = r.U64();
-    ISRL_RETURN_IF_ERROR(r.status());
-    ISRL_ASSIGN_OR_RETURN(
-        std::shared_ptr<const nn::ModelSnapshot> model,
-        snapshot::RepinModel(owner_.name(), fingerprint, model_version, config,
-                             owner_.ServingModel()));
+  Status DecodePayload(snapshot::Reader* r, SessionStage stage,
+                       const SessionConfig& config) override {
+    ISRL_RETURN_IF_ERROR(DecodeModel(r, owner_, config));
     const size_t n = owner_.data_.size();
     const size_t d = owner_.data_.dim();
-    const uint64_t max_lp = r.U64();
-    const uint64_t num_h = r.U64();
-    if (!r.failed() && num_h > snapshot::kMaxElements) {
+    const uint64_t max_lp = r->U64();
+    const uint64_t num_h = r->U64();
+    if (!r->failed() && num_h > snapshot::kMaxElements) {
       return Status::InvalidArgument("AA snapshot: implausible H size");
     }
     std::vector<LearnedHalfspace> h;
-    for (uint64_t i = 0; i < num_h && !r.failed(); ++i) {
+    for (uint64_t i = 0; i < num_h && !r->failed(); ++i) {
       LearnedHalfspace lh;
-      ISRL_RETURN_IF_ERROR(snapshot::DecodeLearnedHalfspace(&r, &lh, n));
+      ISRL_RETURN_IF_ERROR(snapshot::DecodeLearnedHalfspace(r, &lh, n));
       if (lh.h.normal.dim() != d) {
         return Status::InvalidArgument(
             "AA snapshot: learned halfspace dimension mismatch");
@@ -396,42 +321,38 @@ class Aa::Session final : public InteractionSession {
       h.push_back(std::move(lh));
     }
     AaGeometry geo;
-    geo.feasible = r.Bool();
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &geo.inner.center));
-    geo.inner.radius = r.FiniteF64();
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &geo.e_min));
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &geo.e_max));
+    geo.feasible = r->Bool();
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &geo.inner.center));
+    geo.inner.radius = r->FiniteF64();
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &geo.e_min));
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &geo.e_max));
     Vec state;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &state));
-    const uint64_t num_actions = r.U64();
-    if (!r.failed() && num_actions > snapshot::kMaxElements) {
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &state));
+    const uint64_t num_actions = r->U64();
+    if (!r->failed() && num_actions > snapshot::kMaxElements) {
       return Status::InvalidArgument("AA snapshot: implausible action count");
     }
     std::vector<AaAction> actions;
-    for (uint64_t i = 0; i < num_actions && !r.failed(); ++i) {
+    for (uint64_t i = 0; i < num_actions && !r->failed(); ++i) {
       AaAction a;
-      a.q.i = static_cast<size_t>(r.U64());
-      a.q.j = static_cast<size_t>(r.U64());
-      a.balance = r.FiniteF64();
-      a.alignment = r.FiniteF64();
-      a.center_dist = r.FiniteF64();
-      if (!r.failed() && (a.q.i >= n || a.q.j >= n)) {
+      a.q.i = static_cast<size_t>(r->U64());
+      a.q.j = static_cast<size_t>(r->U64());
+      a.balance = r->FiniteF64();
+      a.alignment = r->FiniteF64();
+      a.center_dist = r->FiniteF64();
+      if (!r->failed() && (a.q.i >= n || a.q.j >= n)) {
         return Status::InvalidArgument(
             "AA snapshot: action index out of dataset range");
       }
       actions.push_back(a);
     }
-    const uint64_t best = r.U64();
-    ISRL_RETURN_IF_ERROR(r.status());
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("AA snapshot: trailing payload bytes");
-    }
+    const uint64_t best = r->U64();
+    ISRL_RETURN_IF_ERROR(PayloadEnd(*r));
     if (best >= n) {
       return Status::InvalidArgument(
           "AA snapshot: recommendation index out of dataset range");
     }
-    const bool restored_finished = core.stage == snapshot::kStageFinished;
-    if (!restored_finished) {
+    if (stage != SessionStage::kFinished) {
       // Live sessions always hold a feasible geometry of the dataset's
       // dimension (infeasible geometries only occur on the abort paths,
       // which finish the session before it can be saved mid-flight).
@@ -447,148 +368,39 @@ class Aa::Session final : public InteractionSession {
             "AA snapshot: state vector dimension mismatch");
       }
     }
-    if (core.stage == snapshot::kStageAsking &&
-        (core.question.pair.i >= n || core.question.pair.j >= n)) {
-      return Status::InvalidArgument(
-          "AA snapshot: in-flight question index out of dataset range");
-    }
-    if (core.stage == snapshot::kStageScoring && actions.empty()) {
+    if (stage == SessionStage::kScoring && actions.empty()) {
       return Status::InvalidArgument(
           "AA snapshot: scoring stage without staged candidates");
     }
-
-    result_ = core.result;
-    model_ = std::move(model);
-    max_rounds_ = static_cast<size_t>(core.max_rounds);
     max_lp_ = static_cast<size_t>(max_lp);
-    deadline_ = core.deadline;
-    owned_rng_ = core.rng;
-    if (core.has_trace && trace_ != nullptr) {
-      trace_->RestoreHistory(std::move(core.trace_max_regret),
-                             std::move(core.trace_seconds),
-                             std::move(core.trace_best_index));
-    }
     h_ = std::move(h);
     geo_ = std::move(geo);
     state_ = std::move(state);
     actions_ = std::move(actions);
     best_ = static_cast<size_t>(best);
-    question_ = core.question;
-    finished_ = restored_finished;
-    asking_ = core.stage == snapshot::kStageAsking;
-    scoring_pending_ = false;
-    if (core.stage == snapshot::kStageScoring) {
-      pending_features_ = owner_.FeaturizeCandidatesMatrix(state_, actions_);
-      scoring_pending_ = true;
-    }
-    watch_.Restart();
     return Status::Ok();
   }
 
- private:
-  void Prepare() {
-    if (!(Distance(geo_.e_min, geo_.e_max) > stop_dist_) ||
-        actions_.empty() || result_.rounds >= max_rounds_) {
-      Terminate();
-      return;
-    }
-    if (deadline_.Expired()) {
-      Terminate();
-      return;
-    }
-    pending_features_ = owner_.FeaturizeCandidatesMatrix(state_, actions_);
-    scoring_pending_ = true;
-  }
-
-  void TakePick(size_t pick) {
-    const Question q = actions_[pick].q;
-    question_.first = owner_.data_.point(q.i);
-    question_.second = owner_.data_.point(q.j);
-    question_.pair = q;
-    question_.synthetic = false;
-    scoring_pending_ = false;
-    asking_ = true;
-  }
-
-  void RecordRound(const std::vector<Vec>& consistent) {
-    if (trace_ == nullptr) return;
-    const double elapsed = watch_.ElapsedSeconds();
-    trace_->Record(best_, consistent, elapsed);
-    watch_.Restart();
-    result_.seconds += elapsed;
-  }
-
-  void Terminate() {
-    result_.best_index = best_;
-    const bool stopped = Distance(geo_.e_min, geo_.e_max) <= stop_dist_;
-    const bool stalled = actions_.empty() && !stopped;
-    if (stopped) {
-      result_.termination = result_.dropped_answers > 0
-                                ? Termination::kDegraded
-                                : Termination::kConverged;
-    } else if (stalled) {
-      // No splitting pair left although the rectangle is still wide: the
-      // sampler is exhausted. Best-so-far under a degraded certificate.
-      result_.termination = Termination::kDegraded;
-    } else {
-      result_.termination = Termination::kBudgetExhausted;
-    }
-    result_.seconds += watch_.ElapsedSeconds();
-    scoring_pending_ = false;
-    asking_ = false;
-    finished_ = true;
-  }
-
-  Rng& rng() { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-  const Rng& rng() const { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-
   Aa& owner_;
-  InteractionTrace* trace_;
-  InteractionResult result_;
-  Stopwatch watch_;
   double stop_dist_;
-  size_t max_rounds_;
-  size_t max_lp_;
-  Deadline deadline_;
-  std::optional<Rng> owned_rng_;
+  size_t max_lp_ = 0;
 
   std::vector<LearnedHalfspace> h_;
   AaGeometry geo_;
   Vec state_;
   std::vector<AaAction> actions_;
   size_t best_ = 0;
-
-  /// The immutable model this session scores with, pinned at construction
-  /// (or re-pinned by Decode); never changes mid-session (DESIGN.md §18).
-  std::shared_ptr<const nn::ModelSnapshot> model_;
-
-  Matrix pending_features_;
-  SessionQuestion question_;
-  bool scoring_pending_ = false;
-  bool asking_ = false;
-  bool finished_ = false;
 };
 
 std::unique_ptr<InteractionSession> Aa::StartSession(
     const SessionConfig& config) {
-  // Audit at the inference call site (see Ea::StartSession).
-  if (audit::ShouldCheck(audit::Checker::kNnFinite)) {
-    audit::Auditor().Record(
-        audit::Checker::kNnFinite, "Aa.StartSession",
-        audit::CheckNetworkFinite(ModelFor(config)->network(), "main"));
-  }
   return std::make_unique<Session>(*this, config);
 }
 
 Result<std::unique_ptr<InteractionSession>> Aa::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
-  ISRL_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      snapshot::UnwrapFrame(kAaSnapshotKind, kAaSnapshotVersion, bytes));
-  auto session =
-      std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
-  ISRL_RETURN_IF_ERROR(session->Decode(payload, config));
-  return std::unique_ptr<InteractionSession>(std::move(session));
+  return SessionBase::Restore(std::make_unique<Session>(*this, config.trace),
+                              bytes, config);
 }
 
 }  // namespace isrl

@@ -314,9 +314,7 @@ class InteractiveAlgorithm {
     while (std::optional<SessionQuestion> q = session->NextQuestion()) {
       session->PostAnswer(user.Ask(q->first, q->second));
     }
-    InteractionResult result = session->Finish();
-    result.converged = result.termination == Termination::kConverged;
-    return result;
+    return session->Finish();
   }
 };
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "audit/audit.h"
-#include "audit/checkers.h"
-#include "common/stopwatch.h"
 #include "core/snapshot.h"
 #include "core/terminal.h"
 #include "geometry/halfspace.h"
@@ -13,9 +10,8 @@
 namespace isrl {
 
 namespace {
-constexpr char kEaSnapshotKind[] = "ea-session";
 // v2 added the pinned model's registry version next to its fingerprint.
-constexpr uint32_t kEaSnapshotVersion = 2;
+constexpr SessionFormat kEaFormat{"ea-session", 2, "EA", nullptr};
 }  // namespace
 
 Ea::Ea(const Dataset& data, const EaOptions& options)
@@ -168,46 +164,43 @@ TrainStats Ea::Train(const std::vector<Vec>& training_utilities) {
 // per-round sequence of the old blocking loop — guard, deadline, score,
 // ask, cut, re-plan, record — is preserved exactly, split across the step
 // API: Prepare() is the loop top (guards + candidate featurisation),
-// NextQuestion()/PostCandidateScores() is the greedy pick, PostAnswer() is
+// NextQuestion()/PostCandidateScores() is the greedy pick, OnAnswer() is
 // the loop body. Every geometric/RNG operation runs in the original order,
 // so stepped episodes are bit-identical to Interact().
-class Ea::Session final : public InteractionSession {
+class Ea::Session final : public RlSession {
  public:
   Session(Ea& owner, const SessionConfig& config)
-      : owner_(owner),
-        trace_(config.trace),
-        max_rounds_(config.budget.EffectiveMaxRounds(owner.options_.max_rounds)),
-        deadline_(Deadline::FromBudget(config.budget)),
-        owned_rng_(config.seed ? std::optional<Rng>(Rng(*config.seed))
-                               : std::nullopt),
+      : RlSession(owner, config, owner.options_.max_rounds, "Ea.StartSession"),
+        owner_(owner),
         range_(Polyhedron::UnitSimplex(owner.data_.dim())) {
-    model_ = owner.ModelFor(config);
     plan_ = owner_.PlanRound(range_, rng());
     state_ = EncodeEaState(range_, owner_.options_.state);
     fallback_best_ = owner_.data_.TopIndex(range_.Centroid());
     Prepare();
   }
 
-  std::optional<SessionQuestion> NextQuestion() override {
-    if (finished_) return std::nullopt;
-    if (scoring_pending_) {
-      // No driver scored the candidates for us: score them here. Same
-      // matrix, same weights, same argmax — bit-identical either way.
-      TakePick(model_->Score(pending_features_).ArgMax());
-    }
-    return question_;
+  /// Restore shell: no planning, no Rng draws.
+  Session(Ea& owner, InteractionTrace* trace)
+      : RlSession(trace),
+        owner_(owner),
+        range_(Polyhedron::UnitSimplex(owner.data_.dim())) {}
+
+  std::optional<Vec> HarvestUtility() const override {
+    if (range_.IsEmpty()) return std::nullopt;
+    return range_.Centroid();
   }
 
-  void PostAnswer(Answer answer) override {
-    ISRL_CHECK(asking_);
-    asking_ = false;
-    ++result_.rounds;
+ private:
+  Owner owner() const override {
+    return {kEaFormat, owner_, owner_.data_, &owner_.rng_};
+  }
+
+  void OnAnswer(Answer answer) override {
     if (answer == Answer::kNoAnswer) {
       // Timed-out question: learn nothing, re-plan (the action sampler is
       // stochastic, so the next round asks a fresh set of questions).
-      ++result_.no_answers;
       plan_ = owner_.PlanRound(range_, rng());
-      RecordRound();
+      TraceRange(fallback_best_, range_);
       Prepare();
       return;
     }
@@ -222,7 +215,7 @@ class Ea::Session final : public InteractionSession {
       // keeps the session alive.
       ++result_.dropped_answers;
       plan_ = owner_.PlanRound(range_, rng());
-      RecordRound();
+      TraceRange(fallback_best_, range_);
       Prepare();
       return;
     }
@@ -234,130 +227,57 @@ class Ea::Session final : public InteractionSession {
     fallback_best_ = plan_.terminal
                          ? plan_.winner
                          : owner_.data_.TopIndex(range_.Centroid());
-    RecordRound();
+    TraceRange(fallback_best_, range_);
     Prepare();
   }
 
-  void Cancel() override {
-    if (finished_) return;
-    // Prepare() already terminated every certificate/stall state, so the
-    // session is mid-question: best-so-far, budget semantics.
-    result_.best_index = fallback_best_;
-    result_.termination = Termination::kBudgetExhausted;
-    result_.seconds += watch_.ElapsedSeconds();
-    scoring_pending_ = false;
-    asking_ = false;
-    finished_ = true;
+  // Prepare() already terminated every certificate/stall state, so a
+  // cancelled session is mid-question.
+  size_t BestSoFar() const override { return fallback_best_; }
+
+  Matrix CandidateFeatures() const override {
+    return owner_.FeaturizeCandidatesMatrix(state_, plan_.actions);
   }
 
-  bool Finished() const override { return finished_; }
-
-  InteractionResult Finish() override {
-    ISRL_CHECK(finished_);
-    InteractionResult result = result_;
-    result.converged = result.termination == Termination::kConverged;
-    return result;
+  Question Candidate(size_t index) const override {
+    return plan_.actions[index].q;
   }
 
-  const Matrix* PendingCandidateFeatures() const override {
-    return scoring_pending_ ? &pending_features_ : nullptr;
-  }
-
-  const nn::ModelSnapshot* ScoringModel() const override {
-    return scoring_pending_ ? model_.get() : nullptr;
-  }
-
-  void PostCandidateScores(const double* scores, size_t count) override {
-    ISRL_CHECK(scoring_pending_);
-    ISRL_CHECK_EQ(count, pending_features_.rows());
-    // First-max argmax, exactly Vec::ArgMax over a PredictBatch row — the
-    // coalesced scores pick the same action the self-scoring path would.
-    size_t pick = 0;
-    for (size_t i = 1; i < count; ++i) {
-      if (scores[i] > scores[pick]) pick = i;
+  /// The top of the old blocking loop: evaluate the loop guard and the
+  /// deadline, then stage the candidate features for scoring.
+  void Prepare() {
+    if (plan_.terminal) {
+      EndEpisode(plan_.winner, Certified());
+    } else if (plan_.stalled) {
+      EndEpisode(fallback_best_, Termination::kDegraded);
+    } else if (result_.rounds >= max_rounds_ || deadline_.Expired()) {
+      EndEpisode(fallback_best_, Termination::kBudgetExhausted);
+    } else {
+      StageScoring();
     }
-    TakePick(pick);
   }
 
-  uint64_t ModelVersion() const override { return model_->version(); }
-
-  std::optional<Vec> HarvestUtility() const override {
-    if (range_.IsEmpty()) return std::nullopt;
-    return range_.Centroid();
-  }
-
-  // ---- Durability (DESIGN.md §14). ---------------------------------------
-
-  /// Tag ctor for RestoreSession: builds an empty shell (no planning, no
-  /// Rng draws) that Decode() then fills from snapshot bytes.
-  struct RestoreTag {};
-  Session(Ea& owner, InteractionTrace* trace, RestoreTag)
-      : owner_(owner),
-        trace_(trace),
-        max_rounds_(0),
-        owned_rng_(std::nullopt),
-        range_(Polyhedron::UnitSimplex(owner.data_.dim())) {}
-
-  Result<std::string> SaveState() const override {
-    snapshot::Writer w;
-    snapshot::SessionCore core;
-    core.algorithm = owner_.name();
-    core.data_size = owner_.data_.size();
-    core.data_dim = owner_.data_.dim();
-    core.result = result_;
-    // Fold the live stopwatch into the persisted seconds; a fresh stopwatch
-    // starts at restore, so snapshot downtime never counts as algorithm time.
-    if (!finished_) core.result.seconds += watch_.ElapsedSeconds();
-    core.max_rounds = max_rounds_;
-    core.deadline = deadline_;
-    core.stage = finished_ ? snapshot::kStageFinished
-                           : (asking_ ? snapshot::kStageAsking
-                                      : snapshot::kStageScoring);
-    core.question = question_;
-    core.has_rng = true;
-    core.rng = rng();
-    core.trace = trace_;  // figure vectors ride along (may be null)
-    snapshot::EncodeSessionCore(core, &w);
-    // Model identity, not model weights: the pinned snapshot's §14
-    // fingerprint plus its registry version (0 = the instance's own model);
-    // weights are persisted separately (nn/serialize, nn/registry).
-    w.U64(model_->fingerprint());
-    w.U64(model_->version());
-    snapshot::EncodePolyhedron(range_, &w);
-    w.Bool(plan_.terminal);
-    w.Bool(plan_.stalled);
-    w.U64(plan_.winner);
-    w.U64(plan_.actions.size());
+  void EncodePayload(snapshot::Writer* w) const override {
+    EncodeModel(w);
+    snapshot::EncodePolyhedron(range_, w);
+    w->Bool(plan_.terminal);
+    w->Bool(plan_.stalled);
+    w->U64(plan_.winner);
+    w->U64(plan_.actions.size());
     for (const EaAction& a : plan_.actions) {
-      w.U64(a.q.i);
-      w.U64(a.q.j);
-      w.F64(a.balance);
-      w.F64(a.center_dist);
+      w->U64(a.q.i);
+      w->U64(a.q.j);
+      w->F64(a.balance);
+      w->F64(a.center_dist);
     }
-    snapshot::EncodeVec(state_, &w);
-    w.U64(fallback_best_);
-    return snapshot::WrapFrame(kEaSnapshotKind, kEaSnapshotVersion, w.Take());
+    snapshot::EncodeVec(state_, w);
+    w->U64(fallback_best_);
   }
 
-  /// Fills the shell from an unwrapped payload; every failure leaves the
-  /// shell unusable but the process unharmed (the caller discards it).
-  Status Decode(std::string_view payload, const SessionConfig& config) {
-    snapshot::Reader r(payload);
-    snapshot::SessionCore core;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeSessionCore(&r, &core));
-    ISRL_RETURN_IF_ERROR(snapshot::ValidateSessionCore(
-        core, owner_.name(), owner_.data_.size(), owner_.data_.dim()));
-    if (!core.has_rng) {
-      return Status::InvalidArgument("EA snapshot: missing rng state");
-    }
-    const uint64_t fingerprint = r.U64();
-    const uint64_t model_version = r.U64();
-    ISRL_RETURN_IF_ERROR(r.status());
-    ISRL_ASSIGN_OR_RETURN(
-        std::shared_ptr<const nn::ModelSnapshot> model,
-        snapshot::RepinModel(owner_.name(), fingerprint, model_version, config,
-                             owner_.ServingModel()));
-    Result<Polyhedron> range = snapshot::DecodePolyhedron(&r);
+  Status DecodePayload(snapshot::Reader* r, SessionStage stage,
+                       const SessionConfig& config) override {
+    ISRL_RETURN_IF_ERROR(DecodeModel(r, owner_, config));
+    Result<Polyhedron> range = snapshot::DecodePolyhedron(r);
     ISRL_RETURN_IF_ERROR(range.status());
     const size_t n = owner_.data_.size();
     if (range->dim() != owner_.data_.dim()) {
@@ -365,32 +285,29 @@ class Ea::Session final : public InteractionSession {
           "EA snapshot: polyhedron dimension does not match the dataset");
     }
     RoundPlan plan;
-    plan.terminal = r.Bool();
-    plan.stalled = r.Bool();
-    plan.winner = static_cast<size_t>(r.U64());
-    const uint64_t num_actions = r.U64();
-    if (!r.failed() && num_actions > snapshot::kMaxElements) {
+    plan.terminal = r->Bool();
+    plan.stalled = r->Bool();
+    plan.winner = static_cast<size_t>(r->U64());
+    const uint64_t num_actions = r->U64();
+    if (!r->failed() && num_actions > snapshot::kMaxElements) {
       return Status::InvalidArgument("EA snapshot: implausible action count");
     }
-    for (uint64_t i = 0; i < num_actions && !r.failed(); ++i) {
+    for (uint64_t i = 0; i < num_actions && !r->failed(); ++i) {
       EaAction a;
-      a.q.i = static_cast<size_t>(r.U64());
-      a.q.j = static_cast<size_t>(r.U64());
-      a.balance = r.FiniteF64();
-      a.center_dist = r.FiniteF64();
-      if (!r.failed() && (a.q.i >= n || a.q.j >= n)) {
+      a.q.i = static_cast<size_t>(r->U64());
+      a.q.j = static_cast<size_t>(r->U64());
+      a.balance = r->FiniteF64();
+      a.center_dist = r->FiniteF64();
+      if (!r->failed() && (a.q.i >= n || a.q.j >= n)) {
         return Status::InvalidArgument(
             "EA snapshot: action index out of dataset range");
       }
       plan.actions.push_back(a);
     }
     Vec state;
-    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(&r, &state));
-    const uint64_t fallback = r.U64();
-    ISRL_RETURN_IF_ERROR(r.status());
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("EA snapshot: trailing payload bytes");
-    }
+    ISRL_RETURN_IF_ERROR(snapshot::DecodeVec(r, &state));
+    const uint64_t fallback = r->U64();
+    ISRL_RETURN_IF_ERROR(PayloadEnd(*r));
     if (plan.winner >= n || fallback >= n) {
       return Status::InvalidArgument(
           "EA snapshot: recommendation index out of dataset range");
@@ -401,154 +318,34 @@ class Ea::Session final : public InteractionSession {
       return Status::InvalidArgument(
           "EA snapshot: state vector dimension mismatch");
     }
-    if (core.stage == snapshot::kStageAsking &&
-        (core.question.pair.i >= n || core.question.pair.j >= n)) {
-      return Status::InvalidArgument(
-          "EA snapshot: in-flight question index out of dataset range");
-    }
-    if (core.stage == snapshot::kStageScoring &&
+    if (stage == SessionStage::kScoring &&
         (plan.terminal || plan.stalled || plan.actions.empty())) {
       return Status::InvalidArgument(
           "EA snapshot: scoring stage without staged candidates");
-    }
-
-    result_ = core.result;
-    model_ = std::move(model);
-    max_rounds_ = static_cast<size_t>(core.max_rounds);
-    deadline_ = core.deadline;
-    owned_rng_ = core.rng;
-    if (core.has_trace && trace_ != nullptr) {
-      trace_->RestoreHistory(std::move(core.trace_max_regret),
-                             std::move(core.trace_seconds),
-                             std::move(core.trace_best_index));
     }
     range_ = std::move(range.value());
     plan_ = std::move(plan);
     state_ = std::move(state);
     fallback_best_ = static_cast<size_t>(fallback);
-    question_ = core.question;
-    finished_ = core.stage == snapshot::kStageFinished;
-    asking_ = core.stage == snapshot::kStageAsking;
-    scoring_pending_ = false;
-    if (core.stage == snapshot::kStageScoring) {
-      // FeaturizeCandidatesMatrix is a pure function of (state, actions), so
-      // recomputing it reproduces the exact rows the saved session staged —
-      // the greedy argmax (self-scored or coalesced) picks the same action.
-      pending_features_ =
-          owner_.FeaturizeCandidatesMatrix(state_, plan_.actions);
-      scoring_pending_ = true;
-    }
-    watch_.Restart();
     return Status::Ok();
   }
 
- private:
-  /// The top of the old blocking loop: evaluate the loop guard and the
-  /// deadline, then stage the candidate features for scoring.
-  void Prepare() {
-    if (plan_.terminal || plan_.stalled || result_.rounds >= max_rounds_) {
-      Terminate();
-      return;
-    }
-    if (deadline_.Expired()) {
-      Terminate();
-      return;
-    }
-    pending_features_ =
-        owner_.FeaturizeCandidatesMatrix(state_, plan_.actions);
-    scoring_pending_ = true;
-  }
-
-  void TakePick(size_t pick) {
-    const Question q = plan_.actions[pick].q;
-    question_.first = owner_.data_.point(q.i);
-    question_.second = owner_.data_.point(q.j);
-    question_.pair = q;
-    question_.synthetic = false;
-    scoring_pending_ = false;
-    asking_ = true;
-  }
-
-  void RecordRound() {
-    if (trace_ == nullptr) return;
-    const double elapsed = watch_.ElapsedSeconds();
-    std::vector<Vec> consistent;
-    if (!range_.IsEmpty()) {
-      consistent.reserve(trace_->regret_samples());
-      for (size_t s = 0; s < trace_->regret_samples(); ++s) {
-        consistent.push_back(range_.SampleInterior(trace_->rng()));
-      }
-    }
-    trace_->Record(fallback_best_, consistent, elapsed);
-    watch_.Restart();  // exclude trace bookkeeping from algorithm time
-    result_.seconds += elapsed;
-  }
-
-  void Terminate() {
-    result_.best_index = plan_.terminal ? plan_.winner : fallback_best_;
-    if (plan_.terminal) {
-      result_.termination = result_.dropped_answers > 0
-                                ? Termination::kDegraded
-                                : Termination::kConverged;
-    } else if (plan_.stalled) {
-      result_.termination = Termination::kDegraded;
-    } else {
-      result_.termination = Termination::kBudgetExhausted;
-    }
-    result_.seconds += watch_.ElapsedSeconds();
-    scoring_pending_ = false;
-    asking_ = false;
-    finished_ = true;
-  }
-
-  Rng& rng() { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-  const Rng& rng() const { return owned_rng_ ? *owned_rng_ : owner_.rng_; }
-
   Ea& owner_;
-  InteractionTrace* trace_;
-  InteractionResult result_;
-  Stopwatch watch_;
-  size_t max_rounds_;
-  Deadline deadline_;
-  std::optional<Rng> owned_rng_;
-
   Polyhedron range_;
   RoundPlan plan_;
   Vec state_;
   size_t fallback_best_ = 0;
-
-  /// The immutable model snapshot pinned at start (or re-pinned at
-  /// restore); every score this session computes goes through it.
-  std::shared_ptr<const nn::ModelSnapshot> model_;
-  Matrix pending_features_;
-  SessionQuestion question_;
-  bool scoring_pending_ = false;
-  bool asking_ = false;
-  bool finished_ = false;
 };
 
 std::unique_ptr<InteractionSession> Ea::StartSession(
     const SessionConfig& config) {
-  // Audit at the inference call site: a session served from a NaN-weighted
-  // Q-network asks arbitrary questions yet terminates "normally". Check the
-  // network the session will actually score through.
-  if (audit::ShouldCheck(audit::Checker::kNnFinite)) {
-    audit::Auditor().Record(
-        audit::Checker::kNnFinite, "Ea.StartSession",
-        audit::CheckNetworkFinite(ModelFor(config)->network(), "main"));
-  }
   return std::make_unique<Session>(*this, config);
 }
 
 Result<std::unique_ptr<InteractionSession>> Ea::RestoreSession(
     const std::string& bytes, const SessionConfig& config) {
-  ISRL_ASSIGN_OR_RETURN(
-      std::string_view payload,
-      snapshot::UnwrapFrame(kEaSnapshotKind, kEaSnapshotVersion, bytes));
-  auto session =
-      std::make_unique<Session>(*this, config.trace, Session::RestoreTag{});
-  ISRL_RETURN_IF_ERROR(session->Decode(payload, config));
-  return std::unique_ptr<InteractionSession>(std::move(session));
+  return SessionBase::Restore(std::make_unique<Session>(*this, config.trace),
+                              bytes, config);
 }
 
 }  // namespace isrl

@@ -307,14 +307,6 @@ void SessionScheduler::EmitHarvest(SessionId id) {
   harvest_(id, record);
 }
 
-void SessionScheduler::PostAnswer(SessionId id, Answer answer) {
-  Status posted = TryPostAnswer(id, answer);
-  if (!posted.ok()) {
-    std::fprintf(stderr, "PostAnswer: %s\n", posted.ToString().c_str());
-  }
-  ISRL_CHECK(posted.ok());
-}
-
 Status SessionScheduler::TryPostAnswer(SessionId id, Answer answer) {
   if (id >= slots_.size()) {
     return Status::NotFound(Format("no session %zu (population of %zu)", id,
@@ -342,12 +334,6 @@ Status SessionScheduler::TryPostAnswer(SessionId id, Answer answer) {
   return Status::Ok();
 }
 
-void SessionScheduler::Cancel(SessionId id) {
-  ISRL_CHECK_LT(id, slots_.size());
-  Status cancelled = TryCancel(id);
-  ISRL_CHECK(cancelled.ok());
-}
-
 Status SessionScheduler::TryCancel(SessionId id) {
   if (id >= slots_.size()) {
     return Status::NotFound(Format("no session %zu (population of %zu)", id,
@@ -355,7 +341,7 @@ Status SessionScheduler::TryCancel(SessionId id) {
   }
   Slot& slot = slots_[id];
   if (slot.state == SlotState::kFinished || slot.state == SlotState::kTaken) {
-    return Status::Ok();  // idempotent no-op, matching Cancel()
+    return Status::Ok();  // idempotent no-op
   }
   slot.session->Cancel();
   slot.state = SlotState::kFinished;
@@ -379,15 +365,6 @@ bool SessionScheduler::taken(SessionId id) const {
   return slots_[id].state == SlotState::kTaken;
 }
 
-InteractionResult SessionScheduler::Take(SessionId id) {
-  Result<InteractionResult> result = TryTake(id);
-  if (!result.ok()) {
-    std::fprintf(stderr, "Take: %s\n", result.status().ToString().c_str());
-  }
-  ISRL_CHECK(result.ok());
-  return std::move(*result);
-}
-
 Result<InteractionResult> SessionScheduler::TryTake(SessionId id) {
   if (id >= slots_.size()) {
     return Status::NotFound(Format("no session %zu (population of %zu)", id,
@@ -403,26 +380,40 @@ Result<InteractionResult> SessionScheduler::TryTake(SessionId id) {
         Format("session %zu has not finished", id));
   }
   InteractionResult result = slot.session->Finish();
-  result.converged = result.termination == Termination::kConverged;
   slot.state = SlotState::kTaken;
   slot.session.reset();
   return result;
 }
+
+namespace {
+
+/// The driver's own calls cannot fail on a healthy scheduler; a failure is
+/// a bug, reported with its Status before aborting.
+void CheckDriven(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "DriveWithUsers: %s\n", status.ToString().c_str());
+  }
+  ISRL_CHECK(status.ok());
+}
+
+}  // namespace
 
 std::vector<InteractionResult> DriveWithUsers(
     SessionScheduler& scheduler, const std::vector<UserOracle*>& users) {
   ISRL_CHECK_EQ(users.size(), scheduler.size());
   while (scheduler.active() > 0) {
     for (const PendingQuestion& pq : scheduler.Tick()) {
-      scheduler.PostAnswer(
+      CheckDriven(scheduler.TryPostAnswer(
           pq.session_id,
-          users[pq.session_id]->Ask(pq.question.first, pq.question.second));
+          users[pq.session_id]->Ask(pq.question.first, pq.question.second)));
     }
   }
   std::vector<InteractionResult> results;
   results.reserve(scheduler.size());
   for (size_t id = 0; id < scheduler.size(); ++id) {
-    results.push_back(scheduler.Take(id));
+    Result<InteractionResult> result = scheduler.TryTake(id);
+    CheckDriven(result.status());
+    results.push_back(std::move(*result));
   }
   return results;
 }
@@ -681,7 +672,7 @@ Result<DurableDriveOutcome> DriveWithUsersDurable(
       Answer answer =
           users[pq.session_id]->Ask(pq.question.first, pq.question.second);
       store.LogAnswer(pq.session_id, answer);  // write-ahead
-      scheduler.PostAnswer(pq.session_id, answer);
+      ISRL_RETURN_IF_ERROR(scheduler.TryPostAnswer(pq.session_id, answer));
       ++answers;
     }
     ++ticks;
@@ -693,7 +684,8 @@ Result<DurableDriveOutcome> DriveWithUsersDurable(
   }
   outcome.results.reserve(scheduler.size());
   for (size_t id = 0; id < scheduler.size(); ++id) {
-    outcome.results.push_back(scheduler.Take(id));
+    ISRL_ASSIGN_OR_RETURN(InteractionResult result, scheduler.TryTake(id));
+    outcome.results.push_back(std::move(result));
   }
   return outcome;
 }

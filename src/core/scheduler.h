@@ -64,10 +64,10 @@ using HarvestSink = std::function<void(size_t, const SessionTraceRecord&)>;
 ///   for (...) scheduler.Add(algorithm.StartSession(config));  // seeded!
 ///   while (scheduler.active() > 0) {
 ///     for (const PendingQuestion& pq : scheduler.Tick()) {
-///       scheduler.PostAnswer(pq.session_id, AnswerSomehow(pq.question));
+///       scheduler.TryPostAnswer(pq.session_id, AnswerSomehow(pq.question));
 ///     }
 ///   }
-///   ... scheduler.Take(id) ...
+///   ... scheduler.TryTake(id) ...
 ///
 /// Answers may arrive in any order and across any number of ticks — a
 /// session whose user is still thinking stays out of every tick until its
@@ -141,24 +141,17 @@ class SessionScheduler {
   void Reissue();
 
   /// Delivers a user's answer; the session becomes ready for the next
-  /// Tick(). The id must currently be awaiting an answer (thin checked
-  /// wrapper over TryPostAnswer — crashes on misuse, for trusted drivers).
-  void PostAnswer(SessionId id, Answer answer);
-
-  /// Status-returning form for serving front-ends, where a stale client can
-  /// legitimately double-post or answer a finished session and must get an
-  /// error back instead of killing the process: NotFound for an unknown id,
-  /// FailedPrecondition when the session has no outstanding question
-  /// (already answered this round, already finished, or result taken).
+  /// Tick(). A stale client can legitimately double-post or answer a
+  /// finished session and gets an error back instead of killing the
+  /// process: NotFound for an unknown id, FailedPrecondition when the
+  /// session has no outstanding question (already answered this round,
+  /// already finished, or result taken).
   Status TryPostAnswer(SessionId id, Answer answer);
 
   /// Cancels a session mid-episode (the user walked away); it finishes with
-  /// its best-so-far recommendation. No-op when already finished.
-  void Cancel(SessionId id);
-
-  /// Status-returning Cancel: NotFound for an unknown id, Ok otherwise
-  /// (cancelling an already-finished or taken session is an idempotent
-  /// no-op, matching Cancel()).
+  /// its best-so-far recommendation. NotFound for an unknown id, Ok
+  /// otherwise (cancelling an already-finished or taken session is an
+  /// idempotent no-op).
   Status TryCancel(SessionId id);
 
   bool finished(SessionId id) const;
@@ -167,15 +160,12 @@ class SessionScheduler {
   /// WAL replay must reach before re-posting a logged answer).
   bool awaiting(SessionId id) const;
 
-  /// True once the slot's result has been handed out via Take/TryTake.
+  /// True once the slot's result has been handed out via TryTake.
   bool taken(SessionId id) const;
 
-  /// The finished session's result (invalidates the slot). Checked wrapper
-  /// over TryTake — crashes on misuse.
-  InteractionResult Take(SessionId id);
-
-  /// Status-returning Take: NotFound for an unknown id, FailedPrecondition
-  /// when the session has not finished or was already taken.
+  /// The finished session's result (invalidates the slot). NotFound for an
+  /// unknown id, FailedPrecondition when the session has not finished or
+  /// was already taken.
   Result<InteractionResult> TryTake(SessionId id);
 
   /// Sessions not yet finished.
@@ -237,7 +227,7 @@ struct WalRecord {
 /// WAL accumulated since it was taken. The contract (DESIGN.md §14):
 ///
 ///   1. BeginEpoch(CheckpointAll()) — snapshot the population, clear the WAL.
-///   2. For every answer: LogAnswer() FIRST, then scheduler.PostAnswer().
+///   2. For every answer: LogAnswer() FIRST, then scheduler.TryPostAnswer().
 ///   3. On crash, RecoverScheduler(store, resolver) replays the WAL on top
 ///      of the snapshot and yields a scheduler bit-identical to the one
 ///      that crashed.

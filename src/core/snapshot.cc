@@ -597,7 +597,7 @@ void EncodeSessionCore(const SessionCore& core, Writer* w) {
   EncodeInteractionResult(core.result, w);
   w->U64(core.max_rounds);
   EncodeDeadline(core.deadline, w);
-  w->U8(core.stage);
+  w->U8(static_cast<uint8_t>(core.stage));
   EncodeSessionQuestion(core.question, w);
   w->Bool(core.has_rng);
   if (core.has_rng) EncodeRng(core.rng, w);
@@ -613,10 +613,11 @@ Status DecodeSessionCore(Reader* r, SessionCore* out) {
   ISRL_RETURN_IF_ERROR(DecodeInteractionResult(r, &core.result));
   core.max_rounds = r->U64();
   ISRL_RETURN_IF_ERROR(DecodeDeadline(r, &core.deadline));
-  core.stage = r->U8();
-  if (!r->failed() && core.stage > kStageFinished) {
+  const uint8_t stage = r->U8();
+  if (!r->failed() && stage > static_cast<uint8_t>(SessionStage::kFinished)) {
     r->Fail("session stage out of range");
   }
+  core.stage = static_cast<SessionStage>(stage);
   ISRL_RETURN_IF_ERROR(DecodeSessionQuestion(r, &core.question));
   core.has_rng = r->Bool();
   if (core.has_rng) ISRL_RETURN_IF_ERROR(DecodeRng(r, &core.rng));

@@ -37,6 +37,7 @@
 #include "common/vec.h"
 #include "core/aa_state.h"
 #include "core/algorithm.h"
+#include "core/session_base.h"
 #include "geometry/halfspace.h"
 #include "geometry/polyhedron.h"
 
@@ -180,17 +181,14 @@ Status DecodeTraceInto(Reader* r, InteractionTrace* trace);
 
 // ---- Session core. --------------------------------------------------------
 
-/// Where a saved session's state machine stood.
-inline constexpr uint8_t kStageScoring = 0;   ///< EA/AA: candidates staged
-inline constexpr uint8_t kStageAsking = 1;    ///< question emitted, unanswered
-inline constexpr uint8_t kStageFinished = 2;  ///< terminated
-
 /// The per-episode state every algorithm session shares: identity (algorithm
 /// name + dataset shape, cross-checked at restore), the running result, the
 /// effective budget, the re-armable deadline, the state-machine stage with
 /// its in-flight question, and the session's Rng. Restored sessions always
 /// own their Rng — even when the original drew from the algorithm's member
 /// generator — which is what makes a restored episode self-contained.
+/// Sessions never touch it: SessionBase (core/session_base.h) writes it
+/// ahead of each kind's payload and reads it back, in one place.
 struct SessionCore {
   std::string algorithm;
   uint64_t data_size = 0;
@@ -198,7 +196,7 @@ struct SessionCore {
   InteractionResult result;
   uint64_t max_rounds = 0;
   Deadline deadline;
-  uint8_t stage = kStageFinished;
+  SessionStage stage = SessionStage::kFinished;
   SessionQuestion question;
   bool has_rng = false;
   Rng rng{0};

@@ -552,7 +552,7 @@ TEST(SchedulerDurabilityTest, RetrainedNetworkDegradesOnlyThatSlot) {
 
   // Slot 0 degraded to an aborted session...
   EXPECT_TRUE(restored->finished(0));
-  InteractionResult aborted = restored->Take(0);
+  InteractionResult aborted = restored->TryTake(0).value();
   EXPECT_EQ(aborted.termination, Termination::kAborted);
   EXPECT_FALSE(aborted.status.ok());
   EXPECT_EQ(aborted.status.code(), StatusCode::kFailedPrecondition);
@@ -562,11 +562,11 @@ TEST(SchedulerDurabilityTest, RetrainedNetworkDegradesOnlyThatSlot) {
   LinearUser user(urng.SimplexUniform(3));
   while (restored->active() > 0) {
     for (const PendingQuestion& pq : restored->Tick()) {
-      restored->PostAnswer(pq.session_id,
-                           user.Ask(pq.question.first, pq.question.second));
+      const Answer answer = user.Ask(pq.question.first, pq.question.second);
+      ASSERT_TRUE(restored->TryPostAnswer(pq.session_id, answer).ok());
     }
   }
-  InteractionResult healthy = restored->Take(1);
+  InteractionResult healthy = restored->TryTake(1).value();
   EXPECT_NE(healthy.termination, Termination::kAborted);
 }
 
@@ -587,7 +587,7 @@ TEST(SchedulerDurabilityTest, UnknownAlgorithmDegradesToAbortedSlot) {
         return nullptr;  // nothing registered
       });
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  InteractionResult r = restored->Take(0);
+  InteractionResult r = restored->TryTake(0).value();
   EXPECT_EQ(r.termination, Termination::kAborted);
   EXPECT_EQ(r.status.code(), StatusCode::kNotFound);
 
@@ -627,12 +627,12 @@ TEST(SchedulerDurabilityTest, TakenSlotsSurviveTheRoundTrip) {
   Fleet fleet = LinearFleet(utilities);
   while (scheduler.active() > 0) {
     for (const PendingQuestion& pq : scheduler.Tick()) {
-      scheduler.PostAnswer(pq.session_id,
-                           fleet.users[pq.session_id]->Ask(
-                               pq.question.first, pq.question.second));
+      const Answer answer =
+          fleet.users[pq.session_id]->Ask(pq.question.first, pq.question.second);
+      ASSERT_TRUE(scheduler.TryPostAnswer(pq.session_id, answer).ok());
     }
   }
-  InteractionResult first = scheduler.Take(0);  // slot 0 becomes kTaken
+  InteractionResult first = scheduler.TryTake(0).value();  // slot 0 becomes kTaken
 
   Result<std::string> snapshot = scheduler.CheckpointAll();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
@@ -642,8 +642,8 @@ TEST(SchedulerDurabilityTest, TakenSlotsSurviveTheRoundTrip) {
   ASSERT_EQ(restored->size(), 2u);
   EXPECT_FALSE(restored->finished(0));  // taken, not finished
   ASSERT_TRUE(restored->finished(1));
-  InteractionResult second = restored->Take(1);
-  EXPECT_EQ(second.best_index, scheduler.Take(1).best_index);
+  InteractionResult second = restored->TryTake(1).value();
+  EXPECT_EQ(second.best_index, scheduler.TryTake(1).value().best_index);
   (void)first;
 }
 
@@ -659,6 +659,26 @@ std::string UhSnapshot(Roster& roster, uint64_t seed) {
   Result<std::string> bytes = session->SaveState();
   EXPECT_TRUE(bytes.ok());
   session->Cancel();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+/// A seeded session of `algo` parked mid-question: no wall-clock budget, no
+/// trace, two answers of a linear `utility` in, the next question emitted.
+std::string MidQuestionSnapshot(InteractiveAlgorithm& algo, uint64_t seed,
+                                const Vec& utility, size_t max_rounds) {
+  SessionConfig config;
+  config.budget.max_rounds = max_rounds;
+  config.seed = seed;
+  std::unique_ptr<InteractionSession> session = algo.StartSession(config);
+  LinearUser user(utility);
+  for (int round = 0; round < 2; ++round) {
+    std::optional<SessionQuestion> q = session->NextQuestion();
+    if (!q.has_value()) break;
+    session->PostAnswer(user.Ask(q->first, q->second));
+  }
+  EXPECT_TRUE(session->NextQuestion().has_value()) << algo.name();
+  Result<std::string> bytes = session->SaveState();
+  EXPECT_TRUE(bytes.ok()) << algo.name();
   return bytes.ok() ? *bytes : std::string();
 }
 
@@ -682,6 +702,103 @@ TEST(CorruptionTest, EveryBitFlipIsRejectedWithoutCrashing) {
     if (!restored.ok()) ++rejected;
   }
   EXPECT_EQ(rejected, good.size());
+}
+
+// ------------------------------------------- payload mutation generator
+// The bit-flip suite above never reaches a decoder: the frame CRC rejects
+// every flip first. Here each kind's payload is mutated and re-framed with
+// a valid CRC, so the session decoders meet the damage themselves.
+
+/// Restores `bytes`; a restored session must survive being driven — at
+/// most 200 honest answers, then Cancel(). Returns whether it restored.
+bool RestoreAndDrive(InteractiveAlgorithm& algo, const std::string& bytes) {
+  Result<std::unique_ptr<InteractionSession>> restored =
+      algo.RestoreSession(bytes, SessionConfig{});
+  if (!restored.ok()) return false;
+  InteractionSession& session = **restored;
+  LinearUser user(Vec({0.5, 0.3, 0.2}));
+  for (int answer = 0; answer < 200; ++answer) {
+    std::optional<SessionQuestion> q = session.NextQuestion();
+    if (!q.has_value()) break;
+    session.PostAnswer(user.Ask(q->first, q->second));
+  }
+  session.Cancel();
+  EXPECT_TRUE(session.Finished()) << algo.name();
+  (void)session.Finish();
+  return true;
+}
+
+uint64_t LoadLe64(const std::string& bytes, size_t offset) {
+  uint64_t v = 0;
+  for (size_t k = 0; k < 8; ++k) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[offset + k])) << (8 * k);
+  }
+  return v;
+}
+
+void StoreLe64(uint64_t v, size_t offset, std::string* bytes) {
+  for (size_t k = 0; k < 8; ++k) {
+    (*bytes)[offset + k] = static_cast<char>((v >> (8 * k)) & 0xFF);
+  }
+}
+
+TEST(PayloadMutationTest, EveryKindRejectsOrSurvivesMutatedPayloads) {
+  // Small payloads keep a flip at every offset affordable under the
+  // sanitizers: few points, a short round cap, a small particle set.
+  Roster roster(SmallSkyline(60, 3, 191));
+  SinglePassOptions sp_options = Roster::SpOpt();
+  sp_options.particles = 24;
+  sp_options.min_particles = 8;
+  SinglePass single_pass(roster.sky, sp_options);
+  Rng rng(193);
+  // One algorithm per snapshot kind (UH-Simplex shares UH-Random's).
+  const std::vector<InteractiveAlgorithm*> kinds = {
+      &roster.ea, &roster.aa, &roster.uh_random, &single_pass, &roster.utility_approx};
+  for (InteractiveAlgorithm* algo : kinds) {
+    const std::string good = MidQuestionSnapshot(*algo, 197, Vec({0.5, 0.3, 0.2}), 8);
+    size_t pos = 0;
+    std::string_view kind, view;
+    uint32_t version = 0;
+    ASSERT_TRUE(snapshot::ReadFrameAt(good, &pos, &kind, &version, &view).ok());
+    const std::string payload(view);
+    auto reframed = [&](const std::string& mutated) {
+      return snapshot::WrapFrame(kind, version, mutated);
+    };
+    ASSERT_TRUE(RestoreAndDrive(*algo, reframed(payload))) << algo->name();
+
+    size_t cases = 0, restored = 0;
+    auto attempt = [&](const std::string& mutated) {
+      ++cases;
+      restored += RestoreAndDrive(*algo, reframed(mutated)) ? 1 : 0;
+    };
+    // A byte flip at every offset, each with a seeded non-zero mask.
+    for (size_t offset = 0; offset < payload.size(); ++offset) {
+      std::string mutated = payload;
+      mutated[offset] =
+          static_cast<char>(mutated[offset] ^ static_cast<char>(rng.UniformInt(1, 255)));
+      attempt(mutated);
+    }
+    // Seeded truncations.
+    for (int i = 0; i < 64; ++i) {
+      attempt(payload.substr(
+          0, static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(payload.size()) - 1))));
+    }
+    // Length-field lies: every 8-byte window that reads as a plausible
+    // count (1..payload size) is rewritten with counts just off, at the
+    // element ceiling, and absurd.
+    for (size_t offset = 0; offset + 8 <= payload.size(); ++offset) {
+      const uint64_t count = LoadLe64(payload, offset);
+      if (count == 0 || count > payload.size()) continue;
+      for (uint64_t lie : {count - 1, count + 1, 2 * count, snapshot::kMaxElements,
+                           snapshot::kMaxElements + 1, ~uint64_t{0}}) {
+        std::string mutated = payload;
+        StoreLe64(lie, offset, &mutated);
+        attempt(mutated);
+      }
+    }
+    RecordProperty(algo->name() + "_cases", static_cast<int>(cases));
+    RecordProperty(algo->name() + "_restored", static_cast<int>(restored));
+  }
 }
 
 TEST(CorruptionTest, TruncationsAreRejectedWithoutCrashing) {
@@ -896,6 +1013,57 @@ TEST(SnapshotFormatTest, SessionStoreFileBytesAreGolden) {
   EXPECT_EQ(loaded->population(), "epoch-1");
   EXPECT_EQ(loaded->wal().size(), 3u);
   std::remove(path.c_str());
+}
+
+/// The CRC-32 of a session snapshot with its wall-clock fields zeroed: the
+/// frame is unwrapped, the session core decoded, `result.seconds` (live
+/// stopwatch time) zeroed and the deadline reset to unarmed (remaining
+/// seconds), the core re-encoded, and the untouched payload tail appended.
+uint32_t NormalisedLayoutCrc(const std::string& bytes) {
+  size_t pos = 0;
+  std::string_view kind, payload;
+  uint32_t version = 0;
+  EXPECT_TRUE(snapshot::ReadFrameAt(bytes, &pos, &kind, &version, &payload)
+                  .ok());
+  snapshot::Reader r(payload);
+  snapshot::SessionCore core;
+  EXPECT_TRUE(snapshot::DecodeSessionCore(&r, &core).ok());
+  // The core encoding is canonical, so re-encoding the decoded core gives
+  // back exactly the bytes it was read from: its length marks the tail.
+  snapshot::Writer original;
+  snapshot::EncodeSessionCore(core, &original);
+  EXPECT_EQ(payload.substr(0, original.bytes().size()), original.bytes());
+  const std::string_view tail = payload.substr(original.bytes().size());
+  core.result.seconds = 0.0;
+  core.deadline = Deadline();
+  snapshot::Writer normalised;
+  snapshot::EncodeSessionCore(core, &normalised);
+  const std::string frame = snapshot::WrapFrame(
+      kind, version, normalised.bytes() + std::string(tail));
+  return snapshot::Crc32(frame);
+}
+
+// Every byte of the per-kind session formats, wall clock aside, is frozen:
+// a failure means a snapshot written by an earlier build would decode
+// differently (or not at all) here. The CRCs were captured while each
+// session class still wrote its own core and payload, and have not moved
+// since the sessions came to share SessionBase.
+TEST(SnapshotFormatTest, SessionPayloadLayoutIsGolden) {
+  Roster roster(SmallSkyline(400, 4, 171));
+  const std::vector<std::pair<InteractiveAlgorithm*, uint32_t>> golden = {
+      {&roster.ea, 0x39134ac6u},
+      {&roster.aa, 0x77052b22u},
+      {&roster.uh_random, 0xefcfd1c3u},
+      {&roster.uh_simplex, 0x6087d80fu},
+      {&roster.single_pass, 0x50c972f9u},
+      {&roster.utility_approx, 0x74306eb5u},
+  };
+  for (const auto& [algo, crc] : golden) {
+    const std::string bytes =
+        MidQuestionSnapshot(*algo, 181, Vec({0.4, 0.3, 0.2, 0.1}), 40);
+    ASSERT_FALSE(bytes.empty()) << algo->name();
+    EXPECT_EQ(NormalisedLayoutCrc(bytes), crc) << algo->name();
+  }
 }
 
 TEST(SnapshotCodecTest, RngRoundTripContinuesTheDrawSequence) {

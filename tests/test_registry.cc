@@ -365,8 +365,8 @@ void MixedPopulationRestore(Options options, const std::string& label) {
   for (int tick = 0; tick < 2; ++tick) {
     for (const PendingQuestion& pq : scheduler.Tick()) {
       const SessionQuestion& q = pq.question;
-      scheduler.PostAnswer(pq.session_id,
-                           users.second[pq.session_id]->Ask(q.first, q.second));
+      const Answer answer = users.second[pq.session_id]->Ask(q.first, q.second);
+      ASSERT_TRUE(scheduler.TryPostAnswer(pq.session_id, answer).ok());
     }
   }
   size_t live[2] = {0, 0};  // unpinned, pinned

@@ -434,13 +434,15 @@ TEST(SchedulerTest, AnswerOrderWithinATickDoesNotChangeResults) {
       std::vector<PendingQuestion> pending = scheduler.Tick();
       if (reverse) std::reverse(pending.begin(), pending.end());
       for (const PendingQuestion& pq : pending) {
-        scheduler.PostAnswer(pq.session_id,
-                             users[pq.session_id]->Ask(pq.question.first,
-                                                       pq.question.second));
+        const Answer answer =
+            users[pq.session_id]->Ask(pq.question.first, pq.question.second);
+        EXPECT_TRUE(scheduler.TryPostAnswer(pq.session_id, answer).ok());
       }
     }
     std::vector<InteractionResult> results;
-    for (size_t i = 0; i < kSessions; ++i) results.push_back(scheduler.Take(i));
+    for (size_t i = 0; i < kSessions; ++i) {
+      results.push_back(scheduler.TryTake(i).value());
+    }
     return results;
   };
 
@@ -474,17 +476,18 @@ TEST(SchedulerTest, CancelMidFlightAndMixedAlgorithms) {
     ++ticks;
     for (const PendingQuestion& pq : pending) {
       if (ticks == 2 && pq.session_id == 0) {
-        scheduler.Cancel(pq.session_id);  // user 0 walks away mid-episode
+        // User 0 walks away mid-episode.
+        ASSERT_TRUE(scheduler.TryCancel(pq.session_id).ok());
         continue;
       }
-      scheduler.PostAnswer(pq.session_id,
-                           users[pq.session_id]->Ask(pq.question.first,
-                                                     pq.question.second));
+      const Answer answer =
+          users[pq.session_id]->Ask(pq.question.first, pq.question.second);
+      ASSERT_TRUE(scheduler.TryPostAnswer(pq.session_id, answer).ok());
     }
   }
   for (size_t i = 0; i < algos.size(); ++i) {
     EXPECT_TRUE(scheduler.finished(i));
-    InteractionResult r = scheduler.Take(i);
+    InteractionResult r = scheduler.TryTake(i).value();
     ASSERT_LT(r.best_index, roster.sky.size()) << algos[i]->name();
   }
 }
@@ -610,7 +613,7 @@ TEST(SchedulerDeliveryTest, TickAsksOnlyReadySessions) {
   auto answer_one = [&](SessionScheduler& s) {
     const PendingQuestion pq = waiting.front();
     waiting.pop_front();
-    s.PostAnswer(pq.session_id, CountingAnswer(pq));
+    ASSERT_TRUE(s.TryPostAnswer(pq.session_id, CountingAnswer(pq)).ok());
     const size_t answered_calls = algo.calls[pq.session_id];
     const size_t total_calls = algo.TotalCalls();
     const bool last = pq.question.pair.j + 1 == kRounds;
@@ -671,13 +674,13 @@ TEST(SchedulerDeliveryTest, RecoveryReissuesEachInFlightQuestionOnce) {
                     std::vector<PendingQuestion> pending) {
     while (scheduler.active() > 0) {
       for (const PendingQuestion& pq : pending) {
-        scheduler.PostAnswer(pq.session_id, CountingAnswer(pq));
+        EXPECT_TRUE(scheduler.TryPostAnswer(pq.session_id, CountingAnswer(pq)).ok());
       }
       pending = scheduler.Tick();
     }
     std::vector<InteractionResult> results;
     for (size_t i = 0; i < scheduler.size(); ++i) {
-      results.push_back(scheduler.Take(i));
+      results.push_back(scheduler.TryTake(i).value());
     }
     return results;
   };
@@ -702,7 +705,7 @@ TEST(SchedulerDeliveryTest, RecoveryReissuesEachInFlightQuestionOnce) {
     const PendingQuestion pq = waiting.front();
     waiting.pop_front();
     store.LogAnswer(pq.session_id, CountingAnswer(pq));
-    scheduler.PostAnswer(pq.session_id, CountingAnswer(pq));
+    ASSERT_TRUE(scheduler.TryPostAnswer(pq.session_id, CountingAnswer(pq)).ok());
     if (answer == 99) break;  // crash before this answer's tick
     for (PendingQuestion& next : scheduler.Tick()) {
       waiting.push_back(std::move(next));
